@@ -25,6 +25,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -277,9 +278,11 @@ class MetricsEmitter {
   }
 
   /// Parses a strictly positive integer flag value (`--ues 100`); anything
-  /// else — garbage, trailing junk, zero, negative — is a usage error
-  /// (exit 2). Campaign sizes of zero are always a typo, never a request
-  /// for an empty measurement.
+  /// else — garbage, trailing junk, zero, negative, above INT_MAX — is a
+  /// usage error (exit 2). Campaign sizes of zero are always a typo, never a
+  /// request for an empty measurement, and an oversized value must not wrap
+  /// into a small one (`--deadline-ms 4294967296` would become 0 and
+  /// silently disable the deadline).
   [[nodiscard]] int positive_count(const std::string& flag,
                                    const std::string& text) const {
     std::size_t parsed = 0;
@@ -294,6 +297,11 @@ class MetricsEmitter {
     }
     if (value <= 0) {
       usage_error(flag + ": count must be >= 1, got '" + text + "'");
+    }
+    if (value > std::numeric_limits<int>::max()) {
+      usage_error(flag + ": count must be <= " +
+                  std::to_string(std::numeric_limits<int>::max()) + ", got '" +
+                  text + "'");
     }
     return static_cast<int>(value);
   }

@@ -117,10 +117,10 @@ class ThreadPool {
       }
       std::exception_ptr task_error = nullptr;
       try {
-        // wild5g-lint: allow(guarded-by-violation) body_ is published under
-        // mutex_ before the generation_ bump that releases this batch, and
-        // run() cannot retire or replace it until pending_ drains — the
-        // generation check above is the happens-before edge.
+        // body_ is read outside mutex_: it is published under mutex_ before
+        // the generation_ bump that releases this batch, and run() cannot
+        // retire or replace it until pending_ drains — the generation check
+        // above is the happens-before edge.
         (*body_)(index);
       } catch (...) {
         task_error = std::current_exception();
@@ -152,12 +152,14 @@ class ThreadPool {
 /// serializes top-level parallel regions from distinct caller threads (the
 /// benches only ever have one).
 std::mutex g_pool_mutex;
-// Confinement of the three pool globals under g_pool_mutex is now proved by
-// wild5g-lint's guarded-by inference (no manual allow needed): every access
-// is either lexically under a g_pool_mutex guard or inside a helper whose
-// held-set fixpoint H(f) contains it.
+// wild5g-lint: allow(global-mutable-state) confined by g_pool_mutex: read
+// and written only under the lock, between parallel regions, never from a task.
 std::size_t g_override_threads = 0;  // 0 = WILD5G_THREADS / hardware
+// wild5g-lint: allow(global-mutable-state) confined by g_pool_mutex: built,
+// replaced and torn down only under the lock, between parallel regions.
 std::unique_ptr<ThreadPool> g_pool;
+// wild5g-lint: allow(global-mutable-state) confined by g_pool_mutex: updated
+// together with g_pool under the lock.
 std::size_t g_pool_threads = 0;  // thread count g_pool was built for
 
 std::size_t resolve_thread_count_locked() {

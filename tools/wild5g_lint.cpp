@@ -81,7 +81,7 @@ struct RuleInfo {
   std::string_view effects = {};  // effect bits the rule keys on ("" = none)
 };
 
-constexpr std::array<RuleInfo, 31> kRules = {{
+constexpr std::array<RuleInfo, 26> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -192,41 +192,6 @@ constexpr std::array<RuleInfo, 31> kRules = {{
      "keep arena pointers handler-local; hand out EventIds or copy the "
      "payload out instead",
      "allocates"},
-    {"guarded-by-violation", "concurrency",
-     "a shared variable whose accesses are dominated by one mutex (inferred "
-     "guarded-by fact) is touched outside that lock; the unguarded access "
-     "races with every guarded writer — the witness chain names the call "
-     "path that loses the lock",
-     "take the inferred mutex around the access, or justify via allow if a "
-     "happens-before edge outside the lock makes it safe"},
-    {"lock-order-cycle", "concurrency",
-     "two mutexes are acquired in both orders somewhere in the program "
-     "(directly or through calls); the acquired-while-held graph has a "
-     "cycle, so two threads can deadlock taking the locks in opposite "
-     "orders",
-     "pick one global acquisition order and release the first lock before "
-     "taking the second on the inverted path"},
-    {"cv-wait-no-predicate", "concurrency",
-     "condition_variable wait(lock) without a predicate overload; spurious "
-     "wakeups and missed notifies make bare waits hang or spin",
-     "use wait(lock, [&]{ return condition; }) so the wakeup condition is "
-     "re-checked under the lock"},
-    {"lock-held-blocking-call", "concurrency",
-     "a blocking call (filesystem, sleep, subprocess — the engine-blocking-"
-     "call identifier set) runs while a mutex is held, directly or through "
-     "a callee; every other thread contending that mutex stalls for the "
-     "full blocking duration",
-     "release the lock before blocking: copy what the call needs out under "
-     "the lock, unlock, then block"},
-    {"signal-unsafe-call", "concurrency",
-     "a function installed as a signal handler (sigaction/std::signal) "
-     "transitively reaches a call outside the async-signal-safe allowlist "
-     "(POSIX 2017 plus lock-free atomics); heap, locks, and throws inside "
-     "a handler deadlock or corrupt state when the signal lands mid-"
-     "operation",
-     "restrict the handler to setting a lock-free atomic flag (and "
-     "optionally write()/_exit()); do the real work on a thread that polls "
-     "the flag"},
     {"checkpoint-restore-symmetry", "hygiene",
      "a state key serialized in checkpoint_state has no counterpart in the "
      "paired restore_state (or vice versa); asymmetric checkpoint I/O "
@@ -246,9 +211,9 @@ constexpr std::array<RuleInfo, 31> kRules = {{
 }};
 
 // Family display order for --rules-doc and --list-rules grouping.
-constexpr std::array<std::string_view, 8> kFamilies = {
-    "determinism", "units",    "parallel", "effects",
-    "concurrency", "layering", "hygiene",  "meta"};
+constexpr std::array<std::string_view, 7> kFamilies = {
+    "determinism", "units",   "parallel", "effects",
+    "layering",    "hygiene", "meta"};
 
 bool is_known_rule(std::string_view id) {
   return std::any_of(kRules.begin(), kRules.end(),
@@ -837,9 +802,9 @@ void check_sample_hoard(const std::vector<Token>& toks,
 /// belong to the layer driving the engine (bench_common.h, wild5g_serve).
 /// Clock reads are already covered by ban-wall-clock, so this rule only
 /// names the filesystem and sleep families.
-/// Identifier set shared by engine-blocking-call and (via the concurrency
-/// analysis) lock-held-blocking-call: names whose presence marks a call that
-/// can block the calling thread for an unbounded or scheduler-scale time.
+/// Identifier set behind engine-blocking-call: names whose presence marks a
+/// call that can block the calling thread for an unbounded or
+/// scheduler-scale time.
 const std::set<std::string>& blocking_idents() {
   static const std::set<std::string> kBlocking = {
       "ifstream",  "ofstream",    "fstream", "fopen",     "freopen",
@@ -1685,7 +1650,6 @@ struct GlobalDecl {
   int line = 0;
   bool static_local = false;  // function-local static vs namespace scope
   bool audited = false;       // declaration carries a justified allow()
-  bool confined = false;      // guard inference proved mutex confinement
 };
 
 /// Collects mutable (non-const, non-thread-confined) namespace-scope and
@@ -2469,9 +2433,6 @@ void check_global_state(const FileContext& ctx, const std::string& vpath,
                         std::vector<Finding>& out) {
   if (vpath.rfind("src/", 0) != 0) return;
   for (const auto& g : globals) {
-    // Guard inference proved every access holds one mutex: confinement is
-    // machine-verified, no inventory entry (and no allow()) needed.
-    if (g.confined) continue;
     const std::string kind =
         g.static_local ? "function-local static" : "namespace-scope";
     out.push_back(
@@ -3026,1336 +2987,95 @@ std::string fingerprint_of(const FileUnit& unit, const Finding& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency analysis: guarded-by inference, lock-order cycles, cv-wait
-// hygiene, lock-held blocking calls, async-signal-safety, and the
-// checkpoint/restore symmetry micro-rule. The analysis reuses the effect
-// engine's function database (FuncDef bodies + the FuncIndex call resolver)
-// but walks bodies itself, because it needs what the effect engine discards:
-// token positions, so every call and access can be placed inside or outside
-// a lexical lock segment. DESIGN.md section 8 documents the lattice and the
-// known over-approximations.
+// checkpoint-restore-symmetry: every state key a checkpoint_state() body
+// serializes must be read by the paired restore_state() in the same file,
+// and vice versa. Pairs are matched in definition order; the check reads the
+// function database the effect engine already collected (unit.funcs).
 
-/// Guard RAII wrapper type names; a declaration of one of these opens a lock
-/// segment that runs to the end of the enclosing block (or to a same-depth
-/// .unlock() toggle).
-const std::set<std::string>& guard_type_names() {
-  static const std::set<std::string> kGuards = {
-      "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
-  return kGuards;
-}
-
-const std::set<std::string>& mutex_type_names() {
-  static const std::set<std::string> kMutex = {
-      "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
-      "recursive_timed_mutex"};
-  return kMutex;
-}
-
-const std::set<std::string>& atomic_type_names() {
-  static const std::set<std::string> kAtomic = {
-      "atomic",      "atomic_flag", "atomic_bool",  "atomic_int",
-      "atomic_uint", "atomic_long", "atomic_llong", "atomic_size_t",
-      "sig_atomic_t"};
-  return kAtomic;
-}
-
-/// POSIX.1-2017 async-signal-safe functions the tree plausibly calls, plus
-/// the handful of signal-management calls that are themselves safe. Lock-free
-/// atomic member calls are allow-listed separately by method name.
-const std::set<std::string>& signal_safe_calls() {
-  static const std::set<std::string> kSafe = {
-      "write",       "_exit",       "_Exit",    "abort",      "raise",
-      "kill",        "sigaction",   "signal",   "sigemptyset", "sigaddset",
-      "sigfillset",  "sigdelset",   "sigprocmask", "pthread_sigmask",
-      "alarm",       "getpid",      "close",    "read",       "open",
-      "dup",         "dup2",        "fsync"};
-  return kSafe;
-}
-
-const std::set<std::string>& atomic_safe_methods() {
-  static const std::set<std::string> kSafe = {
-      "store",        "load",          "exchange",
-      "fetch_add",    "fetch_sub",     "fetch_or",
-      "fetch_and",    "test_and_set",  "clear",
-      "compare_exchange_weak",         "compare_exchange_strong"};
-  return kSafe;
-}
-
-/// One class (or struct) definition with its sync-relevant members. Same-name
-/// classes are merged across files so a header declaration and out-of-line
-/// method definitions agree on the member sets — a deliberate
-/// over-approximation for same-name classes in different namespaces.
-struct ConcClass {
-  std::string name;
-  std::size_t open = 0;   // body '{' token index
-  std::size_t close = 0;  // matching '}'
-  std::set<std::string> mutexes;  // members with a mutex-family type
-  std::set<std::string> cvs;      // condition_variable members
-  std::set<std::string> atomics;  // atomic members: exempt from inference
-  std::set<std::string> members;  // plain data members: inference candidates
-};
-
-struct ConcFileFacts {
-  std::vector<ConcClass> classes;        // in token order, nested included
-  std::set<std::string> global_mutexes;  // namespace-scope mutex names
-  std::set<std::string> global_cvs;      // namespace-scope cv names
-  std::set<std::string> atomic_names;    // any-scope atomic variable names
-};
-
-/// Classifies one class-scope declaration chunk [b, e) and files the member
-/// into the right ConcClass bucket. Function declarations, constants, and
-/// nested type definitions resolve to silence.
-void classify_member_chunk(const std::vector<Token>& toks, std::size_t b,
-                           std::size_t e, ConcClass& cls) {
-  if (b >= e) return;
-  // Cut the initializer: declaration part ends at the first top-level '='
-  // or '{' (paren/bracket nesting skipped; '<' untracked, as elsewhere).
-  int depth = 0;
-  std::size_t cut = e;
-  for (std::size_t j = b; j < e; ++j) {
-    if (toks[j].kind != Token::Kind::kPunct) continue;
-    const std::string& t = toks[j].text;
-    if (t == "(" || t == "[") ++depth;
-    if (t == ")" || t == "]") --depth;
-    if ((t == "=" || t == "{") && depth == 0) {
-      cut = j;
-      break;
+void check_checkpoint_symmetry(FileUnit& unit) {
+  const auto& toks = unit.lexed.tokens;
+  std::vector<FuncDef*> ckpts;
+  std::vector<FuncDef*> rsts;
+  for (auto& def : unit.funcs) {
+    if (def.name == "checkpoint_state" && def.arity == 0) {
+      ckpts.push_back(&def);
+    }
+    if (def.name == "restore_state" && def.arity == 1) {
+      rsts.push_back(&def);
     }
   }
-  if (cut < b + 2) return;  // need at least `Type name`
-  bool is_mutex = false;
-  bool is_cv = false;
-  bool is_atomic = false;
-  bool saw_const = false;
-  bool has_star = false;
-  for (std::size_t j = b; j < cut; ++j) {
-    if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "*") {
-      has_star = true;
+  const auto by_tok = [](const FuncDef* a, const FuncDef* b) {
+    return a->name_tok < b->name_tok;
+  };
+  std::sort(ckpts.begin(), ckpts.end(), by_tok);
+  std::sort(rsts.begin(), rsts.end(), by_tok);
+  const std::size_t pairs = std::min(ckpts.size(), rsts.size());
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const FuncDef& c = *ckpts[p];
+    const FuncDef& r = *rsts[p];
+    // Keys written: first string argument of every `.set("key", ...)`.
+    std::vector<std::pair<std::string, int>> ckpt_keys;
+    for (std::size_t j = c.body_open; j + 3 < c.body_close; ++j) {
+      if ((toks[j].text == "." || toks[j].text == "->") &&
+          toks[j + 1].text == "set" && toks[j + 2].text == "(" &&
+          toks[j + 3].kind == Token::Kind::kString) {
+        ckpt_keys.push_back({toks[j + 3].text, toks[j + 1].line});
+      }
     }
-    if (toks[j].kind != Token::Kind::kIdent) continue;
-    const std::string& t = toks[j].text;
-    if (t == "constexpr" || t == "static" || t == "using" ||
-        t == "typedef" || t == "friend" || t == "template" ||
-        t == "operator" || t == "enum" || t == "class" || t == "struct" ||
-        t == "union" || t == "once_flag") {
-      return;
-    }
-    if (t == "const") saw_const = true;
-    if (mutex_type_names().count(t) != 0) is_mutex = true;
-    if (t == "condition_variable" || t == "condition_variable_any") {
-      is_cv = true;
-    }
-    if (atomic_type_names().count(t) != 0) is_atomic = true;
-  }
-  // `const T x` is immutable — not shared-state. `const T* p` is a mutable
-  // pointer to const payload: the pointer itself is an inference candidate.
-  if (saw_const && !has_star) return;
-  const Token& name = toks[cut - 1];
-  // `)` before the terminator means a member function declaration; `]`
-  // means an array member — both stay out of the inference domain.
-  if (name.kind != Token::Kind::kIdent ||
-      non_type_keywords().count(name.text) != 0) {
-    return;
-  }
-  if (is_mutex) {
-    cls.mutexes.insert(name.text);
-  } else if (is_cv) {
-    cls.cvs.insert(name.text);
-  } else if (is_atomic) {
-    cls.atomics.insert(name.text);
-  } else {
-    cls.members.insert(name.text);
-  }
-}
-
-/// Collects the member buckets of one class body [open, close] at its
-/// immediate depth; nested braces (member function bodies, nested types,
-/// default member initializers) are skipped wholesale.
-void collect_class_members(const std::vector<Token>& toks, ConcClass& cls) {
-  std::size_t j = cls.open + 1;
-  std::size_t start = j;
-  while (j < cls.close && j < toks.size()) {
-    const Token& t = toks[j];
-    if (t.kind == Token::Kind::kIdent &&
-        (t.text == "public" || t.text == "private" ||
-         t.text == "protected") &&
-        next_is(toks, j, ":")) {
-      j += 2;
-      start = j;
-      continue;
-    }
-    if (t.kind == Token::Kind::kPunct &&
-        (t.text == "(" || t.text == "{" || t.text == "[")) {
-      const std::string close_tok =
-          t.text == "(" ? ")" : (t.text == "{" ? "}" : "]");
-      const std::size_t m = find_match(toks, j, t.text, close_tok, cls.close);
-      if (m == kNpos) return;
-      // A '{' at member scope is a function body or nested type; the chunk
-      // it terminates is never a data member, so drop it.
-      if (t.text == "{") {
-        j = m + 1;
-        start = j;
+    // Keys read: first string argument inside find/state_field/state_count
+    // call parens (skipping non-string leading args like the state ref).
+    std::vector<std::pair<std::string, int>> rst_keys;
+    for (std::size_t j = r.body_open; j + 1 < r.body_close; ++j) {
+      if (toks[j].kind != Token::Kind::kIdent ||
+          (toks[j].text != "find" && toks[j].text != "state_field" &&
+           toks[j].text != "state_count") ||
+          toks[j + 1].text != "(") {
         continue;
       }
-      // Keep parens *inside* the chunk (classify_member_chunk rejects
-      // `...)`-terminated declarations itself, and `std::function<void(int)>`
-      // members survive the cut).
-      j = m + 1;
-      continue;
-    }
-    if (t.kind == Token::Kind::kPunct && t.text == ";") {
-      classify_member_chunk(toks, start, j, cls);
-      ++j;
-      start = j;
-      continue;
-    }
-    ++j;
-  }
-}
-
-/// One pass over a file: class ranges (with member buckets), namespace-scope
-/// mutex/cv names, and atomic variable names at any scope. The brace
-/// classifier mirrors collect_globals so the two scans agree on what is
-/// namespace scope.
-void scan_concurrency_decls(const std::vector<Token>& toks,
-                            ConcFileFacts& facts) {
-  enum class Scope { kNamespace, kClass, kEnum, kBlock };
-  std::vector<Scope> stack;
-  const auto at_namespace = [&] {
-    return stack.empty() || stack.back() == Scope::kNamespace;
-  };
-
-  // Atomic names, linear pass: `atomic[<...>] [&*]* name` at any scope. The
-  // set only ever exempts variables from inference, so over-collection is
-  // harmless.
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        atomic_type_names().count(toks[i].text) == 0) {
-      continue;
-    }
-    std::size_t k = i + 1;
-    if (k < toks.size() && toks[k].text == "<") {
-      const std::size_t m = find_match(toks, k, "<", ">", k + 24);
-      if (m == kNpos) continue;
-      k = m + 1;
-    }
-    while (k < toks.size() && (toks[k].text == "&" || toks[k].text == "*")) {
-      ++k;
-    }
-    if (k + 1 < toks.size() && toks[k].kind == Token::Kind::kIdent &&
-        (toks[k + 1].text == ";" || toks[k + 1].text == "{" ||
-         toks[k + 1].text == "=" || toks[k + 1].text == "(" ||
-         toks[k + 1].text == ",")) {
-      facts.atomic_names.insert(toks[k].text);
-    }
-  }
-
-  std::size_t stmt = 0;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Token::Kind::kPunct && t.text == "#") {
-      const int line = t.line;
-      while (i + 1 < toks.size() && toks[i + 1].line == line) ++i;
-      stmt = i + 1;
-      continue;
-    }
-    if (t.kind != Token::Kind::kPunct) continue;
-    if (t.text == "{") {
-      bool is_init = false;
-      int depth = 0;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        const std::string& p = toks[j].text;
-        if (p == "(" || p == "[") ++depth;
-        if (p == ")" || p == "]") --depth;
-        if (p == "=" && depth == 0) is_init = true;
-      }
-      if (is_init) {
-        const std::size_t close = find_match(toks, i, "{", "}", toks.size());
-        if (close == kNpos) return;
-        i = close;
-        continue;
-      }
-      Scope kind = Scope::kBlock;
-      bool has_paren = false;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "(") {
-          has_paren = true;
-        }
-      }
-      std::size_t kw = kNpos;
-      for (std::size_t j = stmt; j < i && !has_paren; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent) continue;
-        const std::string& w = toks[j].text;
-        if (w == "namespace") {
-          kind = Scope::kNamespace;
-          break;
-        }
-        if (w == "class" || w == "struct" || w == "union") {
-          kind = Scope::kClass;
-          kw = j;
-          break;
-        }
-        if (w == "enum") {
-          kind = Scope::kEnum;
-          break;
-        }
-      }
-      if (kind == Scope::kClass && kw != kNpos) {
-        std::size_t n = kw + 1;
-        while (n < i && toks[n].kind != Token::Kind::kIdent) ++n;
-        if (n < i) {
-          ConcClass cls;
-          cls.name = toks[n].text;
-          cls.open = i;
-          cls.close = find_match(toks, i, "{", "}", toks.size());
-          if (cls.close != kNpos) {
-            collect_class_members(toks, cls);
-            facts.classes.push_back(std::move(cls));
-          }
-        }
-      }
-      stack.push_back(kind);
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == "}") {
-      if (!stack.empty()) stack.pop_back();
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == ";") {
-      if (at_namespace()) {
-        ConcClass probe;  // reuse the member classifier's buckets
-        classify_member_chunk(toks, stmt, i, probe);
-        for (const auto& n : probe.mutexes) facts.global_mutexes.insert(n);
-        for (const auto& n : probe.cvs) facts.global_cvs.insert(n);
-      }
-      stmt = i + 1;
-    }
-  }
-}
-
-// Mutex identity: "Cls#member" for class members (merged across files),
-// "::name" for namespace-scope mutexes, "vpath:func#name" for locals and
-// unresolved receivers (never shared across functions, so they cannot seed
-// false cross-function facts).
-std::string mutex_display(const std::string& key) {
-  const std::size_t hash = key.find('#');
-  if (key.rfind("::", 0) == 0) return key.substr(2);
-  if (hash == std::string::npos) return key;
-  const std::size_t colon = key.find(':');
-  if (colon != std::string::npos && colon < hash) {
-    return key.substr(hash + 1) + " (function-local)";
-  }
-  return key.substr(0, hash) + "::" + key.substr(hash + 1);
-}
-
-struct ConcAcq {
-  std::string key;
-  int line = 0;
-  std::set<std::string> held_before;  // lexically held at the acquire point
-};
-
-struct ConcSite {
-  std::string callee;
-  int argc = 0;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-struct ConcMemberCall {
-  std::string recv;
-  std::string method;
-  int argc = 0;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-struct ConcAccess {
-  std::string name;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-/// Per-function concurrency facts plus the interprocedural fixpoint state.
-struct ConcFunc {
-  FuncDef* def = nullptr;
-  FileUnit* unit = nullptr;
-  std::string cls;  // owning class name, "" for free functions
-  std::vector<ConcAcq> acqs;
-  std::vector<ConcSite> sites;
-  std::vector<ConcMemberCall> member_calls;
-  std::vector<ConcAccess> accesses;       // candidate-variable touches
-  std::vector<ConcSite> blockers;         // blocking idents (callee = ident)
-  std::set<std::string> local_cvs;
-  // H(f): mutexes held at *every* call site (greatest fixpoint, intersection
-  // over callers of lexical-held-at-site union the caller's own H). h_top
-  // models the "no caller seen yet" top element.
-  bool h_top = true;
-  std::set<std::string> h;
-  // Lock-order closure: every mutex this function may acquire, directly or
-  // through calls, with a witness for chain rendering.
-  std::set<std::string> acquired;
-  struct AcqWit {
-    int line = 0;
-    const ConcFunc* via = nullptr;  // null = acquired directly at `line`
-  };
-  std::map<std::string, AcqWit> acq_wit;
-  // Blocking closure: does this function (transitively) hit a blocking call?
-  bool blocks = false;
-  struct BlkWit {
-    std::string direct;             // blocking ident, when direct
-    int line = 0;
-    const ConcFunc* via = nullptr;
-  };
-  BlkWit blk_wit;
-};
-
-const std::set<std::string>& conc_h(const ConcFunc& f) {
-  static const std::set<std::string> kEmpty;
-  return f.h_top ? kEmpty : f.h;
-}
-
-/// Walks one function body tracking lexical lock segments. A RAII guard
-/// holds from its declaration to the end of the enclosing block; explicit
-/// .unlock()/.lock() toggle it; toggles inside a *nested* block are undone
-/// when that block closes (the early-return unlock idiom), while toggles at
-/// the guard's own depth persist. Bare mutex .lock()/.unlock() calls create
-/// a pseudo-guard with the same rules.
-void walk_conc_body(const std::vector<Token>& toks, ConcFunc& cf,
-                    const std::map<std::string, ConcClass>& merged,
-                    const ConcFileFacts& facts,
-                    const std::set<std::string>& global_candidates) {
-  FuncDef& def = *cf.def;
-  const ConcClass* cls = nullptr;
-  const auto mc = merged.find(cf.cls);
-  if (mc != merged.end()) cls = &mc->second;
-  const std::string local_prefix = cf.unit->vpath.empty()
-                                       ? cf.unit->ctx.display_path
-                                       : cf.unit->vpath;
-
-  // Resolves the mutex named by chunk [b, e) to its identity key.
-  const auto mutex_key = [&](std::size_t b, std::size_t e) -> std::string {
-    std::string name;
-    std::string joined;
-    bool qualified = false;
-    for (std::size_t j = b; j < e; ++j) {
-      joined += toks[j].text;
-      if (toks[j].kind == Token::Kind::kIdent) name = toks[j].text;
-      if (toks[j].text == "." || toks[j].text == "->") qualified = true;
-    }
-    if (name.empty()) return {};
-    const bool this_qualified =
-        qualified && toks[b].kind == Token::Kind::kIdent &&
-        toks[b].text == "this";
-    if ((!qualified || this_qualified) && cls != nullptr &&
-        cls->mutexes.count(name) != 0 && def.locals.count(name) == 0) {
-      return cf.cls + "#" + name;
-    }
-    if (!qualified && facts.global_mutexes.count(name) != 0 &&
-        def.locals.count(name) == 0) {
-      return "::" + name;
-    }
-    return local_prefix + ":" + def.name + "#" + (qualified ? joined : name);
-  };
-
-  struct Guard {
-    std::vector<std::string> keys;
-    bool active = false;
-    int depth = 0;
-  };
-  std::map<std::string, Guard> guards;
-  std::vector<std::map<std::string, bool>> snaps;
-  int depth = 0;
-  const auto held_now = [&] {
-    std::set<std::string> held;
-    for (const auto& [gname, g] : guards) {
-      (void)gname;
-      if (g.active) held.insert(g.keys.begin(), g.keys.end());
-    }
-    return held;
-  };
-
-  const std::size_t end = std::min(def.body_close + 1, toks.size());
-  for (std::size_t j = def.body_open; j < end; ++j) {
-    const Token& t = toks[j];
-    if (t.kind == Token::Kind::kPunct) {
-      if (t.text == "{") {
-        ++depth;
-        std::map<std::string, bool> snap;
-        for (const auto& [gname, g] : guards) snap[gname] = g.active;
-        snaps.push_back(std::move(snap));
-      } else if (t.text == "}") {
-        if (!snaps.empty()) {
-          const auto snap = std::move(snaps.back());
-          snaps.pop_back();
-          for (auto it = guards.begin(); it != guards.end();) {
-            if (it->second.depth >= depth) {
-              it = guards.erase(it);
-            } else {
-              const auto f = snap.find(it->first);
-              if (f != snap.end()) it->second.active = f->second;
-              ++it;
-            }
-          }
-        }
-        --depth;
-      }
-      continue;
-    }
-    if (t.kind != Token::Kind::kIdent) continue;
-
-    // Guard declaration: `lock_guard<...> name(mutex[, ...])`.
-    if (guard_type_names().count(t.text) != 0) {
-      std::size_t p = j + 1;
-      if (p < end && toks[p].text == "<") {
-        const std::size_t m = find_match(toks, p, "<", ">", p + 24);
-        if (m == kNpos) continue;
-        p = m + 1;
-      }
-      if (p + 1 >= end || toks[p].kind != Token::Kind::kIdent ||
-          (toks[p + 1].text != "(" && toks[p + 1].text != "{")) {
-        continue;
-      }
-      const std::string open = toks[p + 1].text;
-      const std::string close_tok = open == "(" ? ")" : "}";
-      const std::size_t close = find_match(toks, p + 1, open, close_tok, end);
+      const std::size_t close =
+          find_match(toks, j + 1, "(", ")", r.body_close + 1);
       if (close == kNpos) continue;
-      Guard g;
-      g.depth = depth;
-      bool defer = false;
-      for (const auto& [cb, ce] : split_args(toks, p + 2, close)) {
-        std::string last;
-        for (std::size_t k = cb; k < ce; ++k) {
-          if (toks[k].kind == Token::Kind::kIdent) last = toks[k].text;
-        }
-        if (last == "defer_lock" || last == "adopt_lock" ||
-            last == "try_to_lock") {
-          if (last == "defer_lock") defer = true;
-          continue;
-        }
-        const std::string key = mutex_key(cb, ce);
-        if (!key.empty()) g.keys.push_back(key);
-      }
-      g.active = !defer && !g.keys.empty();
-      if (g.active) {
-        const auto before = held_now();
-        for (const auto& key : g.keys) {
-          cf.acqs.push_back({key, toks[p].line, before});
-        }
-      }
-      guards[toks[p].text] = std::move(g);
-      j = close;
-      continue;
-    }
-
-    // Member call `recv.method(...)` — guard toggles, bare mutex locks,
-    // cv waits, atomic methods.
-    if (j + 3 < end && (toks[j + 1].text == "." || toks[j + 1].text == "->") &&
-        toks[j + 2].kind == Token::Kind::kIdent && toks[j + 3].text == "(") {
-      const std::string& recv = t.text;
-      const std::string& method = toks[j + 2].text;
-      const std::size_t close = find_match(toks, j + 3, "(", ")", end);
-      int argc = 0;
-      if (close != kNpos && close > j + 4) {
-        argc = static_cast<int>(split_args(toks, j + 4, close).size());
-      }
-      const auto gi = guards.find(recv);
-      if (gi != guards.end() &&
-          (method == "lock" || method == "unlock" || method == "try_lock")) {
-        if (method == "unlock") {
-          gi->second.active = false;
-        } else if (!gi->second.active) {
-          const auto before = held_now();
-          gi->second.active = true;
-          for (const auto& key : gi->second.keys) {
-            cf.acqs.push_back({key, t.line, before});
-          }
-        }
-      } else if (method == "lock" || method == "try_lock" ||
-                 method == "lock_shared" || method == "unlock" ||
-                 method == "unlock_shared") {
-        // Bare mutex lock: pseudo-guard keyed off the receiver name.
-        const bool is_mutex_recv =
-            (cls != nullptr && cls->mutexes.count(recv) != 0) ||
-            facts.global_mutexes.count(recv) != 0;
-        if (is_mutex_recv) {
-          const std::string pseudo = "\x01" + recv;
-          if (method == "unlock" || method == "unlock_shared") {
-            const auto pg = guards.find(pseudo);
-            if (pg != guards.end()) pg->second.active = false;
-          } else {
-            auto& g = guards[pseudo];
-            if (!g.active) {
-              const auto before = held_now();
-              g.keys = {mutex_key(j, j + 1)};
-              g.active = true;
-              g.depth = depth;
-              cf.acqs.push_back({g.keys.front(), t.line, before});
-            }
-          }
-        }
-      }
-      cf.member_calls.push_back({recv, method, argc, t.line, held_now()});
-      continue;
-    }
-
-    // Local condition_variable declarations (for the cv-wait rule).
-    if ((t.text == "condition_variable" ||
-         t.text == "condition_variable_any") &&
-        j + 1 < end && toks[j + 1].kind == Token::Kind::kIdent) {
-      cf.local_cvs.insert(toks[j + 1].text);
-      continue;
-    }
-
-    // Blocking identifiers (the engine-blocking-call set).
-    if (blocking_idents().count(t.text) != 0) {
-      cf.blockers.push_back({t.text, 0, t.line, held_now()});
-    }
-
-    // Free call sites: `callee(...)` with no `.`/`->` receiver.
-    if (j > 0 && next_is(toks, j, "(") &&
-        toks[j - 1].text != "." && toks[j - 1].text != "->" &&
-        non_type_keywords().count(t.text) == 0 &&
-        guard_type_names().count(t.text) == 0 && j != def.name_tok) {
-      const std::size_t close = find_match(toks, j + 1, "(", ")", end);
-      if (close != kNpos) {
-        int argc = 0;
-        if (close > j + 2) {
-          argc = static_cast<int>(split_args(toks, j + 2, close).size());
-        }
-        cf.sites.push_back({t.text, argc, t.line, held_now()});
-      }
-    }
-
-    // Candidate-variable accesses (bare identifier, not shadowed locally).
-    const bool bare =
-        j == 0 || (toks[j - 1].text != "." && toks[j - 1].text != "->");
-    if (bare && def.locals.count(t.text) == 0) {
-      const bool member_cand = cls != nullptr &&
-                               cls->members.count(t.text) != 0 &&
-                               facts.atomic_names.count(t.text) == 0;
-      // A member name shadows a same-name global inside methods: the access
-      // is attributed to the member (or to nothing, for atomic members).
-      const bool shadowed_by_member =
-          cls != nullptr && (cls->members.count(t.text) != 0 ||
-                             cls->atomics.count(t.text) != 0 ||
-                             cls->mutexes.count(t.text) != 0);
-      const bool global_cand = !member_cand && !shadowed_by_member &&
-                               global_candidates.count(t.text) != 0;
-      if (member_cand || global_cand) {
-        cf.accesses.push_back({t.text, t.line, held_now()});
-      }
-    }
-  }
-}
-
-/// Renders `f (file:line) -> g (file:line) -> acquires 'K' at file:line`
-/// through the acquired-set witness links.
-std::string acquire_chain(const ConcFunc* cf, const std::string& key) {
-  std::string chain;
-  std::set<const ConcFunc*> seen;
-  while (cf != nullptr && seen.insert(cf).second) {
-    const auto it = cf->acq_wit.find(key);
-    if (it == cf->acq_wit.end()) break;
-    if (!chain.empty()) chain += " -> ";
-    chain += cf->def->name + " (" + cf->def->file + ":" +
-             std::to_string(cf->def->line) + ")";
-    if (it->second.via == nullptr) {
-      chain += " -> acquires '" + mutex_display(key) + "' at " +
-               cf->def->file + ":" + std::to_string(it->second.line);
-      return chain;
-    }
-    cf = it->second.via;
-  }
-  return chain;
-}
-
-/// The tentpole driver: builds per-function concurrency facts over the
-/// already-collected FuncDef database, runs the H(f) and lock-order
-/// fixpoints, and appends findings for the five concurrency rules plus
-/// checkpoint-restore-symmetry. Mutex-confined globals are erased from
-/// mutable_globals (and flagged confined on their GlobalDecl) so both
-/// check_global_state and the effect engine treat the proof as equivalent
-/// to an audit.
-void run_concurrency_checks(std::vector<FileUnit>& units,
-                            const FuncIndex& findex,
-                            std::set<std::string>& mutable_globals) {
-  // --- Per-file declaration facts, merged class map. ---
-  std::vector<ConcFileFacts> facts(units.size());
-  std::map<std::string, ConcClass> merged;
-  ConcFileFacts all;  // union of global mutex/cv/atomic names
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    if (units[u].io_error) continue;
-    scan_concurrency_decls(units[u].lexed.tokens, facts[u]);
-    for (const auto& cls : facts[u].classes) {
-      ConcClass& m = merged[cls.name];
-      m.name = cls.name;
-      m.mutexes.insert(cls.mutexes.begin(), cls.mutexes.end());
-      m.cvs.insert(cls.cvs.begin(), cls.cvs.end());
-      m.atomics.insert(cls.atomics.begin(), cls.atomics.end());
-      m.members.insert(cls.members.begin(), cls.members.end());
-    }
-    all.global_mutexes.insert(facts[u].global_mutexes.begin(),
-                              facts[u].global_mutexes.end());
-    all.global_cvs.insert(facts[u].global_cvs.begin(),
-                          facts[u].global_cvs.end());
-    all.atomic_names.insert(facts[u].atomic_names.begin(),
-                            facts[u].atomic_names.end());
-  }
-  // Atomic members never participate in inference, member or global side.
-  for (const auto& [name, cls] : merged) {
-    (void)name;
-    all.atomic_names.insert(cls.atomics.begin(), cls.atomics.end());
-  }
-
-  std::set<std::string> global_candidates;
-  for (const auto& n : mutable_globals) {
-    if (all.atomic_names.count(n) == 0 && all.global_mutexes.count(n) == 0 &&
-        all.global_cvs.count(n) == 0) {
-      global_candidates.insert(n);
-    }
-  }
-
-  // --- Function attribution + body walks. ---
-  std::size_t total = 0;
-  for (const auto& unit : units) total += unit.funcs.size();
-  std::vector<ConcFunc> funcs;
-  funcs.reserve(total);
-  std::map<const FuncDef*, ConcFunc*> by_def;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    FileUnit& unit = units[u];
-    for (auto& def : unit.funcs) {
-      ConcFunc cf;
-      cf.def = &def;
-      cf.unit = &unit;
-      // Innermost enclosing class range wins; out-of-line `Cls::method`
-      // definitions fall back to the name-token lookback.
-      std::size_t best_span = kNpos;
-      for (const auto& cls : facts[u].classes) {
-        if (cls.open < def.body_open && def.body_close < cls.close &&
-            cls.close - cls.open < best_span) {
-          best_span = cls.close - cls.open;
-          cf.cls = cls.name;
-        }
-      }
-      if (cf.cls.empty() && def.name_tok >= 2) {
-        const auto& toks = unit.lexed.tokens;
-        if (toks[def.name_tok - 1].text == "::" &&
-            merged.count(toks[def.name_tok - 2].text) != 0) {
-          cf.cls = toks[def.name_tok - 2].text;
-        }
-      }
-      funcs.push_back(std::move(cf));
-    }
-  }
-  for (std::size_t u = 0, fi = 0; u < units.size(); ++u) {
-    for (std::size_t d = 0; d < units[u].funcs.size(); ++d, ++fi) {
-      ConcFunc& cf = funcs[fi];
-      walk_conc_body(units[u].lexed.tokens, cf, merged, all,
-                     global_candidates);
-      by_def[cf.def] = &cf;
-      for (const auto& acq : cf.acqs) {
-        cf.acquired.insert(acq.key);
-        if (cf.acq_wit.count(acq.key) == 0) {
-          cf.acq_wit[acq.key] = {acq.line, nullptr};
-        }
-      }
-      for (const auto& b : cf.blockers) {
-        if (!cf.blocks) {
-          cf.blocks = true;
-          cf.blk_wit = {b.callee, b.line, nullptr};
+      for (std::size_t k = j + 2; k < close; ++k) {
+        if (toks[k].kind == Token::Kind::kString) {
+          rst_keys.push_back({toks[k].text, toks[j].line});
+          break;
         }
       }
     }
-  }
-
-  // Call-site resolution, shared by every fixpoint below.
-  const auto resolve_conc = [&](const ConcSite& site) {
-    std::vector<ConcFunc*> out;
-    for (FuncDef* d : resolve_callee(findex, site.callee, site.argc)) {
-      const auto it = by_def.find(d);
-      if (it != by_def.end()) out.push_back(it->second);
-    }
-    return out;
-  };
-
-  // Reverse call edges (for guarded-by witness chains) and in-degree.
-  std::map<const ConcFunc*, std::vector<std::pair<ConcFunc*, const ConcSite*>>>
-      rev;
-  for (ConcFunc& cf : funcs) {
-    for (const ConcSite& site : cf.sites) {
-      for (ConcFunc* callee : resolve_conc(site)) {
-        rev[callee].push_back({&cf, &site});
+    std::set<std::string> ckpt_strings;
+    for (std::size_t j = c.body_open; j < c.body_close; ++j) {
+      if (toks[j].kind == Token::Kind::kString) {
+        ckpt_strings.insert(toks[j].text);
       }
     }
-  }
-
-  // --- H(f): greatest fixpoint. Roots (no callers) hold nothing. ---
-  for (ConcFunc& cf : funcs) {
-    if (rev.count(&cf) == 0) cf.h_top = false;  // h stays empty
-  }
-  for (int round = 0; round < 2; ++round) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ConcFunc& cf : funcs) {
-        if (cf.h_top) continue;  // no contribution until constrained
-        for (const ConcSite& site : cf.sites) {
-          for (ConcFunc* callee : resolve_conc(site)) {
-            std::set<std::string> contrib = site.held;
-            contrib.insert(cf.h.begin(), cf.h.end());
-            if (callee->h_top) {
-              callee->h_top = false;
-              callee->h = std::move(contrib);
-              changed = true;
-            } else {
-              std::set<std::string> inter;
-              std::set_intersection(callee->h.begin(), callee->h.end(),
-                                    contrib.begin(), contrib.end(),
-                                    std::inserter(inter, inter.begin()));
-              if (inter != callee->h) {
-                callee->h = std::move(inter);
-                changed = true;
-              }
-            }
-          }
-        }
+    std::set<std::string> rst_strings;
+    for (std::size_t j = r.body_open; j < r.body_close; ++j) {
+      if (toks[j].kind == Token::Kind::kString) {
+        rst_strings.insert(toks[j].text);
       }
     }
-    // Call cycles with no outside caller never left top; ground them and
-    // propagate once more.
-    bool any_top = false;
-    for (ConcFunc& cf : funcs) {
-      if (cf.h_top) {
-        cf.h_top = false;
-        any_top = true;
+    std::set<std::string> seen;
+    for (const auto& [key, line] : ckpt_keys) {
+      if (rst_strings.count(key) == 0 && seen.insert(key).second) {
+        unit.raw.push_back(
+            {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
+             "checkpoint_state serializes '" + key +
+                 "' but the paired restore_state (" + unit.ctx.display_path +
+                 ":" + std::to_string(r.line) +
+                 ") never reads it; resume silently drops the field",
+             "read '" + key + "' in restore_state (same string literal)"});
       }
     }
-    if (!any_top) break;
-  }
-
-  // --- Acquired-set and blocking closures (forward fixpoints). ---
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ConcFunc& cf : funcs) {
-        for (const ConcSite& site : cf.sites) {
-          for (ConcFunc* callee : resolve_conc(site)) {
-            for (const auto& key : callee->acquired) {
-              if (cf.acquired.insert(key).second) {
-                cf.acq_wit[key] = {site.line, callee};
-                changed = true;
-              }
-            }
-            if (callee->blocks && !cf.blocks) {
-              cf.blocks = true;
-              cf.blk_wit = {"", site.line, callee};
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // --- Rule (a): guarded-by inference. ---
-  struct AccRec {
-    const ConcFunc* cf;
-    int line;
-    std::set<std::string> held_full;
-  };
-  std::map<std::string, std::vector<AccRec>> tally;  // candidate id -> recs
-  const auto member_id = [](const std::string& cls, const std::string& n) {
-    return cls + "#" + n;
-  };
-  for (const ConcFunc& cf : funcs) {
-    const auto mc = merged.find(cf.cls);
-    const ConcClass* cls = mc == merged.end() ? nullptr : &mc->second;
-    for (const ConcAccess& acc : cf.accesses) {
-      std::string id;
-      if (cls != nullptr && cls->members.count(acc.name) != 0) {
-        id = member_id(cf.cls, acc.name);
-      } else if (global_candidates.count(acc.name) != 0) {
-        id = "::" + acc.name;
-      } else {
-        continue;
-      }
-      AccRec rec{&cf, acc.line, acc.held};
-      const auto& h = conc_h(cf);
-      rec.held_full.insert(h.begin(), h.end());
-      tally[id].push_back(std::move(rec));
-    }
-  }
-  for (const auto& [id, recs] : tally) {
-    std::map<std::string, std::size_t> cover;
-    for (const auto& rec : recs) {
-      for (const auto& m : rec.held_full) ++cover[m];
-    }
-    std::string best;
-    std::size_t best_count = 0;
-    for (const auto& [m, c] : cover) {
-      if (c > best_count) {
-        best = m;
-        best_count = c;
-      }
-    }
-    if (best_count == 0) continue;
-    const std::string var_display = mutex_display(id);
-    if (best_count == recs.size()) {
-      // Confined: every access holds `best`. Globals graduate out of the
-      // mutable-state inventory — the machine-checked equivalent of the
-      // old hand-written allow() audits.
-      if (id.rfind("::", 0) == 0) {
-        const std::string name = id.substr(2);
-        mutable_globals.erase(name);
-        for (auto& unit : units) {
-          for (auto& g : unit.globals) {
-            if (g.name == name) g.confined = true;
-          }
-        }
-      }
-      continue;
-    }
-    if (best_count < 2 || 2 * best_count <= recs.size()) continue;
-    for (const auto& rec : recs) {
-      if (rec.held_full.count(best) != 0) continue;
-      // Witness: walk caller edges that lose the guard, up to a short cap.
-      std::string chain = rec.cf->def->name + " (" + rec.cf->def->file + ":" +
-                          std::to_string(rec.cf->def->line) + ")";
-      const ConcFunc* cur = rec.cf;
-      std::set<const ConcFunc*> seen{cur};
-      for (int hop = 0; hop < 8; ++hop) {
-        const auto edges = rev.find(cur);
-        if (edges == rev.end()) break;
-        const ConcFunc* next = nullptr;
-        const ConcSite* via = nullptr;
-        for (const auto& [caller, site] : edges->second) {
-          if (seen.count(caller) != 0) continue;
-          std::set<std::string> held = site->held;
-          const auto& h = conc_h(*caller);
-          held.insert(h.begin(), h.end());
-          if (held.count(best) == 0) {
-            next = caller;
-            via = site;
-            break;
-          }
-        }
-        if (next == nullptr) break;
-        seen.insert(next);
-        chain = next->def->name + " (" + next->def->file + ":" +
-                std::to_string(via->line) + ") -> " + chain;
-        cur = next;
-      }
-      rec.cf->unit->raw.push_back(
-          {rec.cf->unit->ctx.display_path, rec.line, "guarded-by-violation",
-           "'" + var_display + "' is guarded by '" + mutex_display(best) +
-               "' (" + std::to_string(best_count) + " of " +
-               std::to_string(recs.size()) +
-               " accesses hold it) but this access runs without the lock; "
-               "unguarded path: " + chain,
-           "take '" + mutex_display(best) +
-               "' around this access, or justify via allow if a "
-               "happens-before edge orders it"});
-    }
-  }
-
-  // --- Rule (b): lock-order cycles. ---
-  struct EdgeWit {
-    const ConcFunc* f;
-    int line;
-    bool via_call;  // acquisition reached through a call site
-  };
-  std::map<std::string, std::map<std::string, EdgeWit>> graph;
-  const auto add_edge = [&](const std::string& h, const std::string& k,
-                            const ConcFunc* f, int line, bool via_call) {
-    if (h == k) return;
-    auto& slot = graph[h];
-    if (slot.count(k) == 0) slot[k] = {f, line, via_call};
-  };
-  for (const ConcFunc& cf : funcs) {
-    const auto& h_set = conc_h(cf);
-    for (const ConcAcq& acq : cf.acqs) {
-      for (const auto& h : acq.held_before) {
-        add_edge(h, acq.key, &cf, acq.line, false);
-      }
-      for (const auto& h : h_set) add_edge(h, acq.key, &cf, acq.line, false);
-    }
-    for (const ConcSite& site : cf.sites) {
-      std::set<std::string> held = site.held;
-      held.insert(h_set.begin(), h_set.end());
-      if (held.empty()) continue;
-      for (ConcFunc* callee : resolve_conc(site)) {
-        for (const auto& k : callee->acquired) {
-          for (const auto& h : held) add_edge(h, k, &cf, site.line, true);
-        }
-      }
-    }
-  }
-  {
-    std::set<std::set<std::string>> reported;
-    std::map<std::string, int> color;
-    std::vector<std::string> stack;
-    const std::function<void(const std::string&)> dfs =
-        [&](const std::string& node) {
-          color[node] = 1;
-          stack.push_back(node);
-          const auto edges = graph.find(node);
-          if (edges != graph.end()) {
-            for (const auto& [to, wit] : edges->second) {
-              (void)wit;
-              if (color[to] == 1) {
-                const auto at = std::find(stack.begin(), stack.end(), to);
-                std::vector<std::string> cycle(at, stack.end());
-                std::set<std::string> sig(cycle.begin(), cycle.end());
-                if (!reported.insert(sig).second) continue;
-                // Canonical rotation: start at the smallest key.
-                const auto mn =
-                    std::min_element(cycle.begin(), cycle.end());
-                std::rotate(cycle.begin(), mn, cycle.end());
-                std::string names;
-                std::string edges_text;
-                for (std::size_t i = 0; i < cycle.size(); ++i) {
-                  const std::string& a = cycle[i];
-                  const std::string& b = cycle[(i + 1) % cycle.size()];
-                  names += mutex_display(a) + " -> ";
-                  const EdgeWit& ew = graph[a][b];
-                  edges_text += "; '" + mutex_display(b) +
-                                "' acquired while holding '" +
-                                mutex_display(a) + "': ";
-                  if (ew.via_call) {
-                    std::string via_chain = acquire_chain(ew.f, b);
-                    edges_text += via_chain.empty()
-                                      ? ew.f->def->name + " (" +
-                                            ew.f->def->file + ":" +
-                                            std::to_string(ew.line) + ")"
-                                      : via_chain;
-                  } else {
-                    edges_text += ew.f->def->name + " (" + ew.f->def->file +
-                                  ":" + std::to_string(ew.line) + ")";
-                  }
-                }
-                names += mutex_display(cycle.front());
-                const EdgeWit& first = graph[cycle.front()][
-                    cycle.size() > 1 ? cycle[1] : cycle.front()];
-                first.f->unit->raw.push_back(
-                    {first.f->unit->ctx.display_path, first.line,
-                     "lock-order-cycle",
-                     "lock-order cycle: " + names + edges_text,
-                     "pick one global acquisition order; release '" +
-                         mutex_display(cycle.front()) +
-                         "' before taking the next lock on the inverted "
-                         "path"});
-              } else if (color[to] == 0) {
-                dfs(to);
-              }
-            }
-          }
-          stack.pop_back();
-          color[node] = 2;
-        };
-    std::vector<std::string> nodes;
-    for (const auto& [n, e] : graph) {
-      (void)e;
-      nodes.push_back(n);
-    }
-    for (const auto& n : nodes) {
-      if (color[n] == 0) dfs(n);
-    }
-  }
-
-  // --- Rule (b'): cv wait without predicate; (b''): lock-held blocking. ---
-  for (const ConcFunc& cf : funcs) {
-    const auto mc = merged.find(cf.cls);
-    const ConcClass* cls = mc == merged.end() ? nullptr : &mc->second;
-    for (const ConcMemberCall& call : cf.member_calls) {
-      if (call.method != "wait" || call.argc != 1) continue;
-      const bool is_cv = (cls != nullptr && cls->cvs.count(call.recv) != 0) ||
-                         all.global_cvs.count(call.recv) != 0 ||
-                         cf.local_cvs.count(call.recv) != 0;
-      if (!is_cv) continue;
-      cf.unit->raw.push_back(
-          {cf.unit->ctx.display_path, call.line, "cv-wait-no-predicate",
-           "'" + call.recv + ".wait(lock)' has no predicate; spurious "
-           "wakeups and missed notifies make bare waits hang or spin",
-           "re-check the wakeup condition under the lock: " + call.recv +
-               ".wait(lock, [&]{ return <condition>; })"});
-    }
-    for (const ConcSite& b : cf.blockers) {
-      if (b.held.empty()) continue;
-      cf.unit->raw.push_back(
-          {cf.unit->ctx.display_path, b.line, "lock-held-blocking-call",
-           "blocking call '" + b.callee + "' runs while '" +
-               mutex_display(*b.held.begin()) +
-               "' is held; every thread contending the lock stalls for the "
-               "full blocking duration",
-           "copy what the call needs out under the lock, unlock, then "
-           "block"});
-    }
-    const auto& h_set = conc_h(cf);
-    for (const ConcSite& site : cf.sites) {
-      std::set<std::string> held = site.held;
-      held.insert(h_set.begin(), h_set.end());
-      if (held.empty()) continue;
-      for (ConcFunc* callee : resolve_conc(site)) {
-        if (!callee->blocks) continue;
-        // Chain to the direct blocking identifier.
-        std::string chain = cf.def->name + " (" + cf.def->file + ":" +
-                            std::to_string(site.line) + ")";
-        const ConcFunc* cur = callee;
-        std::set<const ConcFunc*> seen;
-        while (cur != nullptr && seen.insert(cur).second) {
-          chain += " -> " + cur->def->name + " (" + cur->def->file + ":" +
-                   std::to_string(cur->def->line) + ")";
-          if (cur->blk_wit.via == nullptr) {
-            chain += " -> blocks on '" + cur->blk_wit.direct + "' at " +
-                     cur->def->file + ":" + std::to_string(cur->blk_wit.line);
-            break;
-          }
-          cur = cur->blk_wit.via;
-        }
-        cf.unit->raw.push_back(
-            {cf.unit->ctx.display_path, site.line, "lock-held-blocking-call",
-             "call to '" + site.callee + "' blocks while '" +
-                 mutex_display(*held.begin()) + "' is held: " + chain,
-             "release the lock before the call, or hoist the blocking work "
-             "out of the callee"});
-        break;  // one finding per site
-      }
-    }
-  }
-
-  // --- Rule (c): async-signal-safety. ---
-  struct HandlerRoot {
-    std::string name;
-    std::string file;
-    int line = 0;
-  };
-  std::vector<HandlerRoot> roots;
-  for (auto& unit : units) {
-    const auto& toks = unit.lexed.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].kind != Token::Kind::kIdent) continue;
-      if ((toks[i].text == "sa_handler" || toks[i].text == "sa_sigaction") &&
-          toks[i + 1].text == "=") {
-        std::string last;
-        for (std::size_t j = i + 2; j < toks.size() && toks[j].text != ";";
-             ++j) {
-          if (toks[j].kind == Token::Kind::kIdent) last = toks[j].text;
-        }
-        if (!last.empty() && last != "SIG_IGN" && last != "SIG_DFL" &&
-            last != "nullptr" && last != "NULL") {
-          roots.push_back({last, unit.ctx.display_path, toks[i].line});
-        }
-      }
-      if (toks[i].text == "signal" && toks[i + 1].text == "(") {
-        const std::size_t close =
-            find_match(toks, i + 1, "(", ")", toks.size());
-        if (close == kNpos || close <= i + 2) continue;
-        const auto args = split_args(toks, i + 2, close);
-        if (args.size() != 2) continue;
-        std::string last;
-        for (std::size_t j = args[1].first; j < args[1].second; ++j) {
-          if (toks[j].kind == Token::Kind::kIdent) last = toks[j].text;
-        }
-        if (!last.empty() && last != "SIG_IGN" && last != "SIG_DFL" &&
-            last != "nullptr" && last != "NULL") {
-          roots.push_back({last, unit.ctx.display_path, toks[i].line});
-        }
-      }
-    }
-  }
-  for (const HandlerRoot& root : roots) {
-    const auto slot = findex.find(root.name);
-    if (slot == findex.end()) continue;
-    // BFS from every definition matching the handler name; parents back the
-    // witness chain, one finding per offending line.
-    std::vector<ConcFunc*> queue;
-    std::map<const ConcFunc*, std::pair<const ConcFunc*, int>> parent;
-    for (const auto& [arity, defs] : slot->second) {
-      (void)arity;
-      for (FuncDef* d : defs) {
-        const auto it = by_def.find(d);
-        if (it != by_def.end() && parent.count(it->second) == 0) {
-          parent[it->second] = {nullptr, 0};
-          queue.push_back(it->second);
-        }
-      }
-    }
-    const auto chain_to = [&](const ConcFunc* cf) {
-      std::vector<std::string> hops;
-      const ConcFunc* cur = cf;
-      while (cur != nullptr) {
-        hops.push_back(cur->def->name + " (" + cur->def->file + ":" +
-                       std::to_string(cur->def->line) + ")");
-        cur = parent.at(cur).first;
-      }
-      std::string out = "handler '" + root.name + "' (installed at " +
-                        root.file + ":" + std::to_string(root.line) + ")";
-      for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-        out += " -> " + *it;
-      }
-      return out;
-    };
-    std::set<std::pair<std::string, int>> flagged;
-    const auto flag = [&](const ConcFunc* cf, int line,
-                          const std::string& what) {
-      if (!flagged.insert({cf->unit->ctx.display_path, line}).second) return;
-      cf->unit->raw.push_back(
-          {cf->unit->ctx.display_path, line, "signal-unsafe-call",
-           what + " inside the signal-handler call tree: " + chain_to(cf) +
-               " — only async-signal-safe calls (write, _exit, lock-free "
-               "atomics, ...) are legal when the signal lands mid-operation",
-           "restrict the handler tree to setting a lock-free atomic flag; "
-           "do the real work on a thread that polls it"});
-    };
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      ConcFunc* cf = queue[qi];
-      const auto& toks = cf->unit->lexed.tokens;
-      for (std::size_t j = cf->def->body_open; j < cf->def->body_close; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent) continue;
-        const std::string& w = toks[j].text;
-        if (w == "new" || w == "malloc" || w == "calloc" || w == "realloc" ||
-            w == "free" || w == "throw") {
-          flag(cf, toks[j].line, "'" + w + "'");
-        }
-      }
-      for (const ConcAcq& acq : cf->acqs) {
-        flag(cf, acq.line, "lock acquisition of '" +
-                               mutex_display(acq.key) + "'");
-      }
-      for (const ConcSite& b : cf->blockers) {
-        flag(cf, b.line, "blocking call '" + b.callee + "'");
-      }
-      for (const ConcSite& site : cf->sites) {
-        const auto callees = resolve_conc(site);
-        if (callees.empty()) {
-          if (signal_safe_calls().count(site.callee) == 0 &&
-              site.callee != "new" && site.callee != "free") {
-            flag(cf, site.line,
-                 "call to '" + site.callee +
-                     "', which is not on the async-signal-safe allowlist");
-          }
-          continue;
-        }
-        for (ConcFunc* callee : callees) {
-          if (parent.count(callee) == 0) {
-            parent[callee] = {cf, site.line};
-            queue.push_back(callee);
-          }
-        }
-      }
-      for (const ConcMemberCall& call : cf->member_calls) {
-        if (atomic_safe_methods().count(call.method) != 0) continue;
-        const auto defs = resolve_callee(findex, call.method, call.argc);
-        bool any = false;
-        for (FuncDef* d : defs) {
-          const auto it = by_def.find(d);
-          if (it == by_def.end()) continue;
-          any = true;
-          if (parent.count(it->second) == 0) {
-            parent[it->second] = {cf, call.line};
-            queue.push_back(it->second);
-          }
-        }
-        if (!any) {
-          flag(cf, call.line,
-               "call to method '" + call.method + "' on '" + call.recv +
-                   "', which is not a lock-free atomic operation");
-        }
-      }
-    }
-  }
-
-  // --- checkpoint-restore-symmetry. ---
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    const auto& toks = unit.lexed.tokens;
-    std::vector<FuncDef*> ckpts;
-    std::vector<FuncDef*> rsts;
-    for (auto& def : unit.funcs) {
-      if (def.name == "checkpoint_state" && def.arity == 0) {
-        ckpts.push_back(&def);
-      }
-      if (def.name == "restore_state" && def.arity == 1) {
-        rsts.push_back(&def);
-      }
-    }
-    const auto by_tok = [](const FuncDef* a, const FuncDef* b) {
-      return a->name_tok < b->name_tok;
-    };
-    std::sort(ckpts.begin(), ckpts.end(), by_tok);
-    std::sort(rsts.begin(), rsts.end(), by_tok);
-    const std::size_t pairs = std::min(ckpts.size(), rsts.size());
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const FuncDef& c = *ckpts[p];
-      const FuncDef& r = *rsts[p];
-      // Keys written: first string argument of every `.set("key", ...)`.
-      std::vector<std::pair<std::string, int>> ckpt_keys;
-      for (std::size_t j = c.body_open; j + 3 < c.body_close; ++j) {
-        if ((toks[j].text == "." || toks[j].text == "->") &&
-            toks[j + 1].text == "set" && toks[j + 2].text == "(" &&
-            toks[j + 3].kind == Token::Kind::kString) {
-          ckpt_keys.push_back({toks[j + 3].text, toks[j + 1].line});
-        }
-      }
-      // Keys read: first string argument inside find/state_field/state_count
-      // call parens (skipping non-string leading args like the state ref).
-      std::vector<std::pair<std::string, int>> rst_keys;
-      for (std::size_t j = r.body_open; j + 1 < r.body_close; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent ||
-            (toks[j].text != "find" && toks[j].text != "state_field" &&
-             toks[j].text != "state_count") ||
-            toks[j + 1].text != "(") {
-          continue;
-        }
-        const std::size_t close =
-            find_match(toks, j + 1, "(", ")", r.body_close + 1);
-        if (close == kNpos) continue;
-        for (std::size_t k = j + 2; k < close; ++k) {
-          if (toks[k].kind == Token::Kind::kString) {
-            rst_keys.push_back({toks[k].text, toks[j].line});
-            break;
-          }
-        }
-      }
-      std::set<std::string> ckpt_strings;
-      for (std::size_t j = c.body_open; j < c.body_close; ++j) {
-        if (toks[j].kind == Token::Kind::kString) {
-          ckpt_strings.insert(toks[j].text);
-        }
-      }
-      std::set<std::string> rst_strings;
-      for (std::size_t j = r.body_open; j < r.body_close; ++j) {
-        if (toks[j].kind == Token::Kind::kString) {
-          rst_strings.insert(toks[j].text);
-        }
-      }
-      std::set<std::string> seen;
-      for (const auto& [key, line] : ckpt_keys) {
-        if (rst_strings.count(key) == 0 && seen.insert(key).second) {
-          unit.raw.push_back(
-              {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
-               "checkpoint_state serializes '" + key +
-                   "' but the paired restore_state (" + unit.ctx.display_path +
-                   ":" + std::to_string(r.line) +
-                   ") never reads it; resume silently drops the field",
-               "read '" + key + "' in restore_state (same string literal)"});
-        }
-      }
-      for (const auto& [key, line] : rst_keys) {
-        if (ckpt_strings.count(key) == 0 && seen.insert(key).second) {
-          unit.raw.push_back(
-              {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
-               "restore_state reads '" + key +
-                   "' but the paired checkpoint_state (" +
-                   unit.ctx.display_path + ":" + std::to_string(c.line) +
-                   ") never writes it; the read sees a default, not state",
-               "write '" + key + "' in checkpoint_state (same string "
-               "literal)"});
-        }
+    for (const auto& [key, line] : rst_keys) {
+      if (ckpt_strings.count(key) == 0 && seen.insert(key).second) {
+        unit.raw.push_back(
+            {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
+             "restore_state reads '" + key +
+                 "' but the paired checkpoint_state (" +
+                 unit.ctx.display_path + ":" + std::to_string(c.line) +
+                 ") never writes it; the read sees a default, not state",
+             "write '" + key + "' in checkpoint_state (same string "
+             "literal)"});
       }
     }
   }
@@ -4471,10 +3191,9 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
 
   // Effect phase 0: the tracked writes_global set. A declaration whose
   // global-mutable-state finding carries a justified allow() is audited,
-  // sanctioned state and stays out of the set; below, the concurrency
-  // analysis additionally erases every global whose mutex confinement it
-  // can *prove* (e.g. the parallel.cpp pool singletons), so neither the
-  // inventory rule nor the effect engine sees machine-verified state.
+  // sanctioned state (e.g. the parallel.cpp pool singletons, confined by
+  // g_pool_mutex) and stays out of the set, so it does not poison every
+  // caller's writes_global chain.
   std::set<std::string> mutable_globals;
   for (auto& unit : units) {
     for (auto& g : unit.globals) {
@@ -4502,12 +3221,7 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
     }
   }
 
-  // Phase B: concurrency analysis. Runs before the effect fixpoint because
-  // its guard inference shrinks mutable_globals (confined state must not
-  // poison writes_global chains).
-  run_concurrency_checks(units, findex, mutable_globals);
-
-  // Phase C: per-body direct effects, then the bottom-up call-graph
+  // Phase B: per-body direct effects, then the bottom-up call-graph
   // fixpoint.
   for (auto& unit : units) {
     if (unit.io_error) continue;
@@ -4538,6 +3252,7 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
                            unit.raw);
     check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs,
                        mutable_globals, unit.raw);
+    check_checkpoint_symmetry(unit);
     check_layering(unit);
   }
   check_cycles(units);
@@ -4722,23 +3437,6 @@ std::string rules_doc_markdown() {
             "instead of guessing, so every\nsuppression stays auditable. "
             "Findings print the offending call chain down\nto the concrete "
             "write/draw as fix-it context.\n\n";
-    }
-    if (family == "concurrency") {
-      os << "These rules reuse the effect engine's function database for a "
-            "lock-aware\nanalysis (DESIGN.md section 8). Guarded-by facts are "
-            "*inferred*: a shared\nvariable whose accesses are dominated by "
-            "one mutex (lexical `lock_guard`/\n`unique_lock`/`scoped_lock` "
-            "segments, plus the held-at-every-call-site set\nH(f) computed "
-            "as a greatest fixpoint over the call graph) is treated as\n"
-            "guarded by it; a proven-confined global graduates out of the "
-            "`global-mutable-\nstate` inventory, while a majority-but-not-"
-            "total guard flags each unguarded\naccess with its witness call "
-            "path. The lock-order graph records every mutex\nacquired while "
-            "another is held, through calls, and reports cycles with "
-            "per-edge\ninterprocedural chains. Signal-handler roots "
-            "(`sigaction`/`std::signal`\ninstalls) bound a reachability "
-            "sweep checked against the POSIX async-signal-\nsafe allowlist "
-            "plus lock-free atomic methods.\n\n";
     }
     os << "| rule | summary | fix-it |\n";
     os << "| --- | --- | --- |\n";
