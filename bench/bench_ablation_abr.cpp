@@ -8,10 +8,9 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "ablation_abr");
+void ablation_abr(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Ablation", "ABR design knobs over mmWave 5G");
 
   Rng rng(bench::kBenchSeed);
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
                      Table::num(q.mean_stall_percent, 2),
                      Table::num(q.mean_normalized_qoe, 3)});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
 
   // --- Max buffer sweep (robustMPC). ---
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
                      Table::num(q.mean_normalized_bitrate, 3),
                      Table::num(q.mean_stall_percent, 2)});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
 
   // --- Segment abandonment on/off (fastMPC). ---
@@ -74,12 +73,13 @@ int main(int argc, char** argv) {
                      Table::num(q.mean_normalized_bitrate, 3),
                      Table::num(q.mean_stall_percent, 2)});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
 
   bench::measured_note(
       "longer horizons and bigger buffers trade bitrate for stall"
       " protection; abandonment caps the cost of surprise chunks caught by"
       " a blockage — the mechanism the 5G-aware scheme builds on.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -7,10 +7,9 @@
 #include "mobility/route.h"
 #include "radio/handoff.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "ablation_handoff");
+void ablation_handoff(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Ablation", "A3 handoff hysteresis / time-to-trigger sweep");
   bench::paper_note(
       "Fig. 9's LTE layer shows ~30 handoffs incl. ping-pong at cell edges;"
@@ -62,11 +61,12 @@ int main(int argc, char** argv) {
                    Table::num(grid[task].mean_handoffs, 1),
                    Table::num(grid[task].mean_pingpongs, 1)});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "small hysteresis + zero TTT floods the control plane with edge"
       " ping-pong; the (3 dB, 320 ms) operating point lands near Fig. 9's"
       " LTE count with ping-pong largely suppressed.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -9,10 +9,10 @@
 #include "power/fitting.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "ablation_power_model");
+void ablation_power_model(engine::CampaignContext& ctx,
+                          const faults::Injector*) {
   bench::banner("Ablation", "Power-model capacity and data requirements");
 
   power::WalkingCampaignConfig campaign;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < depths.size(); ++i) {
       table.add_row({std::to_string(depths[i]), Table::num(mapes[i], 2)});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
 
   // --- Campaign-size sweep. ---
@@ -73,12 +73,13 @@ int main(int argc, char** argv) {
                      std::to_string(points[i].samples),
                      Table::num(points[i].mape, 2)});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
 
   bench::measured_note(
       "accuracy saturates around depth ~8 and a few minutes of walking"
       " data; depth-1 trees (a single split) cannot express the joint"
       " throughput+signal dependence, mirroring the Fig. 15 ablations.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -7,10 +7,9 @@
 #include "net/speedtest.h"
 #include "transport/tcp.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "ablation_transport");
+void ablation_transport(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Ablation", "tcp_wmem sweep vs RTT (single connection)");
   bench::paper_note(
       "Sec. 3.2: the sender's buffer must at least cover the path BDP;"
@@ -45,10 +44,11 @@ int main(int argc, char** argv) {
     }
     table.add_row(std::move(row));
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "below the knee, goodput ~ wmem/RTT (halving RTT doubles it); above"
       " the knee, extra buffer buys nothing — the Fig. 8 'tuned' plateau.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -13,10 +13,9 @@
 #include "radio/ue.h"
 #include "transport/bbr.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "extension_bbr");
+void extension_bbr(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Extension",
                 "BBR vs CUBIC single-connection downlink (Azure regions)");
   bench::paper_note(
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
   table.set_header({"region", "km", "UDP", "CUBIC tuned", "BBR",
                     "BBR/CUBIC"});
   for (const auto& region : geo::azure_regions()) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const double rtt =
         net::path_rtt_ms(network, region.quoted_distance_km) + 8.0;
     transport::PathConfig path;
@@ -64,11 +62,12 @@ int main(int argc, char** argv) {
                    Table::num(cubic, 0), Table::num(bbr, 0),
                    Table::num(bbr / cubic, 2) + "x"});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "BBR stays within a few percent of UDP at every distance, while CUBIC"
       " decays with RTT: a transport fix recovers the capacity the paper"
       " shows being left on the table.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

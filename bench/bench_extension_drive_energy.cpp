@@ -12,10 +12,10 @@
 #include "mobility/route.h"
 #include "rrc/rrc_config.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "extension_drive_energy");
+void extension_drive_energy(engine::CampaignContext& ctx,
+                            const faults::Injector*) {
   bench::banner("Extension", "Control-plane energy of the Fig. 9 drive");
   bench::paper_note(
       "Every vertical handoff in NSA pays the 4G->5G switch burst"
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
        {mobility::BandSetting::kSaOnly, mobility::BandSetting::kNsaPlusLte,
         mobility::BandSetting::kLteOnly, mobility::BandSetting::kSaPlusLte,
         mobility::BandSetting::kAllBands}) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     double vertical = 0.0;
     double horizontal = 0.0;
     const int drives = 4;
@@ -63,11 +62,12 @@ int main(int argc, char** argv) {
                    Table::num(horizontal, 1), Table::num(energy, 1),
                    Table::num(energy / 10.0, 2)});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "NSA's vertical-handoff storm costs an order of magnitude more switch"
       " energy per km than SA — quantifying why the paper recommends"
       " avoiding intermittent 4G/5G toggling.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -9,10 +9,9 @@
 #include "web/page_load.h"
 #include "web/website.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "extension_http2");
+void extension_http2(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Extension", "HTTP/1.1 pool vs HTTP/2 multiplexing");
   bench::paper_note(
       "Request round-trips dominate PLT for object-heavy pages; mmWave's"
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
   table.set_header({"radio", "protocol", "mean PLT s", "p90 PLT s",
                     "mean energy J"});
   for (const bool is_5g : {true, false}) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     for (const bool multiplexed : {false, true}) {
       auto config = is_5g ? web::mmwave_page_config()
                           : web::lte_page_config();
@@ -48,11 +46,12 @@ int main(int argc, char** argv) {
                      Table::num(energy / (2.0 * corpus.size()), 2)});
     }
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "multiplexing compresses the 4G-vs-5G PLT gap on small pages and"
       " widens 5G's lead on heavy ones (bandwidth finally binds); both"
       " radios save energy in proportion to the PLT cut.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -13,10 +13,10 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "extension_pensieve_5g");
+void extension_pensieve_5g(engine::CampaignContext& ctx,
+                           const faults::Injector*) {
   bench::banner("Extension", "Learned ABR retrained on 5G traces");
   bench::paper_note(
       "Tests the paper's hypothesis: a learned policy trained with 5G"
@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
                            {"Pensieve-like", "5G traces", &trained_5g},
                            {"robustMPC", "(none)", &robust}};
   for (const auto& row : rows) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const auto q =
         abr::evaluate_on_traces(video, eval_5g, *row.algorithm, options);
     table.add_row({row.policy, row.data,
@@ -75,12 +74,13 @@ int main(int argc, char** argv) {
     if (row.algorithm == &trained_4g) stall_4g_trained = q.mean_stall_percent;
     if (row.algorithm == &trained_5g) stall_5g_trained = q.mean_stall_percent;
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "retraining on 5G traces cuts the learned policy's stall rate by " +
       Table::num(100.0 * (stall_4g_trained - stall_5g_trained) /
                      stall_4g_trained, 0) +
       "%, confirming the paper's larger-5G-dataset hypothesis.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -9,10 +9,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig01_02_latency_distance");
+void fig01_02_latency_distance(engine::CampaignContext& ctx,
+                               const faults::Injector*) {
   bench::banner("Fig. 1 + Fig. 2", "Impact of UE-Server distance on RTT");
   bench::paper_note(
       "RTT ~6 ms at the nearest (~3 km) server, roughly doubling by ~320 km;"
@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   Rng rng(bench::kBenchSeed);
 
   for (const auto& server : servers) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const double km = geo::haversine_km(ue_location, server.location);
     std::vector<std::string> row{server.name, Table::num(km, 0)};
     for (std::size_t r = 0; r < radios.size(); ++r) {
@@ -61,7 +60,7 @@ int main(int argc, char** argv) {
     distances.push_back(km);
     table.add_row(std::move(row));
   }
-  emitter.report(table);
+  ctx.report(table);
 
   // Headline comparisons.
   const auto fit_mm = stats::linear_fit(distances, rtts[0]);
@@ -86,5 +85,6 @@ int main(int argc, char** argv) {
                        " ms over mmWave (paper: 6-8 ms)");
   bench::measured_note("LTE adds " + Table::num(lte_gap, 1) +
                        " ms over low-band (paper: 6-15 ms over 5G)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,10 +8,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig03_downlink_distance");
+void fig03_downlink_distance(engine::CampaignContext& ctx,
+                             const faults::Injector* faults) {
   bench::banner("Fig. 3", "[Verizon mmWave] downlink vs UE-server distance");
   bench::paper_note(
       "Multiple connections sustain >3 Gbps across all US servers; a single"
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                     radio::DeploymentMode::kNsa};
   config.ue = radio::galaxy_s20u();
   config.ue_location = geo::minneapolis().point;
-  config.faults = emitter.faults();
+  config.faults = faults;
   net::SpeedtestHarness harness(config);
 
   // Sort servers by distance for a readable series.
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   double single_near = 0.0;
   double single_far = 0.0;
   for (std::size_t i = 0; i < servers.size(); ++i) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const double km =
         geo::haversine_km(config.ue_location, servers[i].location);
     const auto& [multi, single] = results[i];
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
     if (km < 100.0) single_near = single.downlink_mbps;
     single_far = single.downlink_mbps;  // last (farthest) after sort
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note("multi-conn minimum across servers = " +
                        Table::num(multi_min, 0) +
@@ -79,5 +78,6 @@ int main(int argc, char** argv) {
   bench::measured_note("single-conn near/far = " + Table::num(single_near, 0) +
                        " / " + Table::num(single_far, 0) +
                        " Mbps (paper: ~3 Gbps near, decaying with distance)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -7,10 +7,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig04_uplink_distance");
+void fig04_uplink_distance(engine::CampaignContext& ctx,
+                           const faults::Injector*) {
   bench::banner("Fig. 4", "[Verizon mmWave] uplink vs UE-server distance");
   bench::paper_note(
       "Both single and multiple connection uplink tests reach ~220 Mbps"
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
       });
   double peak = 0.0;
   for (std::size_t i = 0; i < servers.size(); ++i) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const double km =
         geo::haversine_km(config.ue_location, servers[i].location);
     table.add_row({servers[i].name, Table::num(km, 0),
@@ -61,8 +60,9 @@ int main(int argc, char** argv) {
                    Table::num(results[i].single.uplink_mbps, 0)});
     peak = std::max(peak, results[i].multi.uplink_mbps);
   }
-  emitter.report(table);
+  ctx.report(table);
   bench::measured_note("peak uplink = " + Table::num(peak, 0) +
                        " Mbps (paper: ~220 Mbps)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

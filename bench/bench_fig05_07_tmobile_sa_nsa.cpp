@@ -8,10 +8,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig05_07_tmobile_sa_nsa");
+void fig05_07_tmobile_sa_nsa(engine::CampaignContext& ctx,
+                             const faults::Injector*) {
   bench::banner("Fig. 5-7",
                 "[T-Mobile] SA vs NSA low-band: RTT / downlink / uplink");
   bench::paper_note(
@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
   double rtt_gap = 0.0;
   int rows = 0;
   for (const auto& server : servers) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const double km = geo::haversine_km(ue_location, server.location);
     const auto r_nsa =
         nsa.peak_of(server, net::ConnectionMode::kMultiple, 10, rng);
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
     rtt_gap += r_sa.rtt_ms - r_nsa.rtt_ms;
     ++rows;
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note("mean SA/NSA downlink ratio = " +
                        Table::num(dl_ratio / rows, 2) + " (paper: ~0.5)");
@@ -74,5 +73,6 @@ int main(int argc, char** argv) {
   bench::measured_note("mean SA-NSA RTT gap = " +
                        Table::num(rtt_gap / rows, 2) +
                        " ms (paper: no significant difference)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -9,10 +9,10 @@
 #include "radio/ue.h"
 #include "transport/tcp.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig08_transport_tuning");
+void fig08_transport_tuning(engine::CampaignContext& ctx,
+                            const faults::Injector*) {
   bench::banner("Fig. 8",
                 "Azure regions: UDP vs TCP-8 vs tuned/default single TCP");
   bench::paper_note(
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     default_max = std::max(default_max, dflt);
     ++rows;
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note("default 1-TCP max = " + Table::num(default_max, 0) +
                        " Mbps (paper: <= ~500 Mbps at every region)");
@@ -87,5 +87,6 @@ int main(int argc, char** argv) {
   bench::measured_note("mean UDP - tuned 1-TCP gap = " +
                        Table::num((udp_sum - tuned_sum) / rows, 0) +
                        " Mbps (paper: ~886 Mbps)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

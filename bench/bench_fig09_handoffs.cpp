@@ -6,10 +6,9 @@
 #include "mobility/drive.h"
 #include "mobility/route.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig09_handoffs");
+void fig09_handoffs(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Fig. 9",
                 "[T-Mobile] handoffs while driving, five band settings");
   bench::paper_note(
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
         return mobility::simulate_drive(setting, route, {}, rng);
       });
   for (std::size_t s = 0; s < settings.size(); ++s) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const auto& [setting, paper_total] = settings[s];
     double total = 0.0;
     double horizontal = 0.0;
@@ -70,16 +68,16 @@ int main(int argc, char** argv) {
                    Table::num(100.0 * f_sa / drives, 0),
                    std::to_string(paper_total)});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   // One representative timeline, as in the figure's horizontal bars.
   Rng rng(bench::kBenchSeed);
   const auto route = mobility::driving_route(rng);
   const auto result = mobility::simulate_drive(
       mobility::BandSetting::kNsaPlusLte, route, {}, rng);
-  emitter.metric("representative_nsa_segments",
+  ctx.doc.metric("representative_nsa_segments",
                  static_cast<double>(result.segments.size()));
-  emitter.metric("representative_nsa_handoffs",
+  ctx.doc.metric("representative_nsa_handoffs",
                  static_cast<double>(result.total_handoffs()));
   std::cout << "Representative NSA-5G + LTE timeline (first 12 segments):\n";
   for (std::size_t i = 0; i < std::min<std::size_t>(12, result.segments.size());
@@ -89,5 +87,6 @@ int main(int argc, char** argv) {
               << Table::num(seg.end_s, 1) << "s  "
               << mobility::to_string(seg.radio) << "\n";
   }
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

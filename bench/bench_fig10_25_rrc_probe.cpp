@@ -9,10 +9,9 @@
 #include "core/stats.h"
 #include "rrc/probe.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig10_25_rrc_probe");
+void fig10_25_rrc_probe(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Fig. 10 + Fig. 25",
                 "RRC-Probe: RTT vs idle gap for all six configurations");
   bench::paper_note(
@@ -40,10 +39,11 @@ int main(int argc, char** argv) {
                      Table::num(rtts.percentile(90.0), 0),
                      rrc::to_string(rrc::state_after_gap(config, gap))});
     }
-    emitter.report(table);
+    ctx.report(table);
   }
   bench::measured_note(
       "plateau structure per configuration matches the figure: three levels"
       " for SA and NSA low-band, two for mmWave and 4G.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

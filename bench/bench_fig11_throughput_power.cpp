@@ -5,14 +5,15 @@
 #include "bench_common.h"
 #include "power/power_model.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
+
 using power::DevicePowerProfile;
 using power::RailKey;
 using radio::Direction;
 
 namespace {
 
-void sweep(bench::MetricsEmitter& emitter, const DevicePowerProfile& device,
+void sweep(engine::CampaignContext& ctx, const DevicePowerProfile& device,
            Direction direction, double max_mbps, double step_mbps) {
   const std::string dir_label = radio::to_string(direction);
   Table table("S20U " + dir_label + ": power (W) vs throughput (Mbps)");
@@ -28,7 +29,7 @@ void sweep(bench::MetricsEmitter& emitter, const DevicePowerProfile& device,
                    cell(RailKey::kNsaLowBand, dl ? 220.0 : 110.0),
                    cell(RailKey::k4g, dl ? 200.0 : 90.0)});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   const auto mm = device.rail(RailKey::kNsaMmWave, direction);
   const auto lte = device.rail(RailKey::k4g, direction);
@@ -42,8 +43,8 @@ void sweep(bench::MetricsEmitter& emitter, const DevicePowerProfile& device,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig11_throughput_power");
+void fig11_throughput_power(engine::CampaignContext& ctx,
+                            const faults::Injector*) {
   bench::banner("Fig. 11", "Throughput vs power for 4G and 5G (S20U)");
   bench::paper_note(
       "Power rises linearly with throughput on every radio; mmWave's slope"
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
       " (UL) and below low-band 5G at 189 / 123 Mbps.");
 
   const auto s20u = DevicePowerProfile::s20u();
-  sweep(emitter, s20u, Direction::kDownlink, 2000.0, 200.0);
-  sweep(emitter, s20u, Direction::kUplink, 200.0, 20.0);
-  return emitter.exit_code();
+  sweep(ctx, s20u, Direction::kDownlink, 2000.0, 200.0);
+  sweep(ctx, s20u, Direction::kUplink, 200.0, 20.0);
 }
+
+}  // namespace wild5g::bench

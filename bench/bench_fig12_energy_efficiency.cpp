@@ -6,13 +6,14 @@
 #include "bench_common.h"
 #include "power/power_model.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
+
 using power::DevicePowerProfile;
 using power::RailKey;
 using radio::Direction;
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig12_energy_efficiency");
+void fig12_energy_efficiency(engine::CampaignContext& ctx,
+                             const faults::Injector*) {
   bench::banner("Fig. 12", "Throughput vs energy efficiency (S20U)");
   bench::paper_note(
       "log E is linear in log T with slope -> -1 at low throughput; over"
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
                      cell(RailKey::kNsaLowBand, dl ? 220.0 : 110.0),
                      cell(RailKey::k4g, dl ? 200.0 : 90.0)});
     }
-    emitter.report(table);
+    ctx.report(table);
 
     // Headline ratios: at low throughput and at each link's high end.
     const double low_t = dl ? 8.0 : 4.0;
@@ -69,5 +70,6 @@ int main(int argc, char** argv) {
                                         std::log10(4.0), 2) +
                          " (theory: -> -1)");
   }
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -10,7 +10,7 @@
 #include "power/campaign.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
 namespace {
 
@@ -20,7 +20,7 @@ struct City {
   power::DevicePowerProfile device;
 };
 
-void report_city(bench::MetricsEmitter& emitter, const City& city,
+void report_city(engine::CampaignContext& ctx, const City& city,
                  std::uint64_t seed) {
   std::vector<power::CampaignSample> all;
   for (std::size_t i = 0; i < city.configs.size(); ++i) {
@@ -56,8 +56,10 @@ void report_city(bench::MetricsEmitter& emitter, const City& city,
       }
     }
     if (powers.count() < 20) continue;
-    const std::string bin = "[" + Table::num(lo, 0) + "," +
-                            Table::num(lo + 5.0, 0) + ")";
+    // Appended, not prepended: GCC 12 at -O3 misreports `"[" + string` as
+    // an overlapping memcpy (-Wrestrict), which -Werror builds reject.
+    std::string bin = "[";
+    bin += Table::num(lo, 0) + "," + Table::num(lo + 5.0, 0) + ")";
     fig13.add_row({bin, std::to_string(powers.count()),
                    Table::num(tputs.mean(), 0),
                    Table::num(powers.mean(), 2),
@@ -67,14 +69,14 @@ void report_city(bench::MetricsEmitter& emitter, const City& city,
     }
 
   }
-  emitter.report(fig13);
-  emitter.report(fig14);
+  ctx.report(fig13);
+  ctx.report(fig14);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig13_14_rsrp_power");
+void fig13_14_rsrp_power(engine::CampaignContext& ctx,
+                         const faults::Injector*) {
   bench::banner("Fig. 13 + Fig. 14",
                 "Power-RSRP-throughput relationship (walking campaigns)");
   bench::paper_note(
@@ -97,11 +99,12 @@ int main(int argc, char** argv) {
                    {{.network = mmwave, .ue = radio::galaxy_s20u()},
                     {.network = lowband, .ue = radio::galaxy_s20u()}},
                    power::DevicePowerProfile::s20u()};
-  report_city(emitter, ann_arbor, bench::kBenchSeed);
-  report_city(emitter, minneapolis, bench::kBenchSeed + 1);
+  report_city(ctx, ann_arbor, bench::kBenchSeed);
+  report_city(ctx, minneapolis, bench::kBenchSeed + 1);
 
   bench::measured_note(
       "energy/bit decreases monotonically with RSRP in both cities;"
       " Minneapolis mixes the low-band cluster into the low-RSRP bins.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -12,10 +12,10 @@
 #include "radio/ue.h"
 #include "rrc/state_machine.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig15_16_power_models");
+void fig15_16_power_models(engine::CampaignContext& ctx,
+                           const faults::Injector*) {
   bench::banner("Fig. 15 + Fig. 16",
                 "Power-model MAPE by feature set; software calibration");
   bench::paper_note(
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
         return row;
       });
   for (auto& row : fig15_rows) fig15.add_row(row);
-  emitter.report(fig15);
+  ctx.report(fig15);
 
   // Fig. 16: software-monitor calibration (S20U mmWave busy waveform).
   const auto profile = rrc::profile_by_name("Verizon NSA mmWave");
@@ -117,10 +117,11 @@ int main(int argc, char** argv) {
     fig16.add_row({"SW-" + Table::num(rate, 0) + "Hz calibrated",
                    Table::num(calibrated, 2)});
   }
-  emitter.report(fig16);
+  ctx.report(fig16);
 
   bench::measured_note(
       "TH+SS < TH << SS on every setting, and calibrated 10 Hz software"
       " monitoring beats 1 Hz, matching Figs. 15-16.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -9,10 +9,10 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig17_abr_qoe");
+void fig17_abr_qoe(engine::CampaignContext& ctx,
+                   const faults::Injector* faults) {
   bench::banner("Fig. 17", "ABR QoE over 5G vs 4G (7 algorithms)");
   bench::paper_note(
       "Normalized bitrates stay similar across 4G and 5G (avg drop ~3.5%),"
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   abr::SessionOptions options;
   options.chunk_count = 60;  // 4-minute video at 4 s chunks
-  options.faults = emitter.faults();
+  options.faults = faults;
 
   // Algorithm roster. Pensieve trains on 4G-character traces (see
   // DESIGN.md's substitution note).
@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
   double best_5g_stall = 1e18;
   double best_5g_bitrate = 0.0;
   for (std::size_t i = 0; i < algorithms.size(); ++i) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     const auto& [q5, q4] = results[i];
     const double increase =
         q4.mean_stall_percent > 0.05
@@ -107,10 +106,10 @@ int main(int argc, char** argv) {
       best_5g = algorithms[i]->name();
     }
   }
-  emitter.report(table);
-  emitter.metric("mean_bitrate_drop_pp", 100.0 * bitrate_drop / 7.0);
-  emitter.metric("mean_stall_increase_pp", stall_increase / 7.0);
-  emitter.metric("better_qoe_5g_count", better_qoe_5g);
+  ctx.report(table);
+  ctx.doc.metric("mean_bitrate_drop_pp", 100.0 * bitrate_drop / 7.0);
+  ctx.doc.metric("mean_stall_increase_pp", stall_increase / 7.0);
+  ctx.doc.metric("better_qoe_5g_count", better_qoe_5g);
 
   bench::measured_note("mean 4G->5G normalized-bitrate drop = " +
                        Table::num(100.0 * bitrate_drop / 7.0, 1) +
@@ -123,5 +122,6 @@ int main(int argc, char** argv) {
                        " bitrate, " + Table::num(best_5g_stall, 1) +
                        "% stall) - robustMPC holds the QoE frontier as in"
                        " the paper");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,10 +8,9 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig18a_predictors");
+void fig18a_predictors(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Fig. 18a", "Throughput predictors for MPC over 5G");
   bench::paper_note(
       "MPC_GDBT achieves ~32% higher normalized QoE than the default"
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
     if (predictor == &gbdt) qoe_gbdt = q.mean_normalized_qoe;
     if (predictor == &oracle) qoe_truth = q.mean_normalized_qoe;
   }
-  emitter.report(table);
+  ctx.report(table);
 
   // The paper's Fig. 18a normalizes QoE so truthMPC ~ 1; its +31.98% gain
   // with only 1.3% left to the oracle means GDBT closes ~96% of the
@@ -69,5 +68,6 @@ int main(int argc, char** argv) {
                        std::string(qoe_hm < qoe_gbdt && qoe_gbdt < qoe_truth
                                        ? "reproduced"
                                        : "NOT reproduced"));
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -7,10 +7,10 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig18b_chunk_length");
+void fig18b_chunk_length(engine::CampaignContext& ctx,
+                         const faults::Injector*) {
   bench::banner("Fig. 18b", "Chunk length and 5G ABR QoE");
   bench::paper_note(
       "1 s chunks beat 2 s (and 4 s) chunks: +21.5% (+35.9%) bitrate and"
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                    Table::num(q.mean_normalized_qoe, 3)});
     points.push_back({q.mean_normalized_bitrate, q.mean_stall_percent});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   const auto& c4 = points[0];
   const auto& c2 = points[1];
@@ -62,5 +62,6 @@ int main(int argc, char** argv) {
       "%, stalls " +
       Table::num(100.0 * (c1.stall - c4.stall) / std::max(0.01, c4.stall), 1) +
       "% (paper: +35.9% bitrate, -29.8% stalls)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,10 +8,10 @@
 #include "abr/video.h"
 #include "traces/traces.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig18c_table4_interface");
+void fig18c_table4_interface(engine::CampaignContext& ctx,
+                             const faults::Injector*) {
   bench::banner("Fig. 18c + Table 4",
                 "5G-aware interface selection for ABR streaming");
   bench::paper_note(
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   row("5G-only MPC", only);
   row("5G-aware MPC", aware);
   row("5G-aware MPC NO*", no_overhead);
-  emitter.report(table);
+  ctx.report(table);
   std::cout << "(*NO = no switch overhead)\n";
 
   bench::measured_note("stall reduction vs 5G-only = " +
@@ -95,5 +95,6 @@ int main(int argc, char** argv) {
                                            no_overhead.stall_s) /
                                       std::max(1.0, no_overhead.stall_s), 1) +
                        "% (paper: 4.0%)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -7,10 +7,10 @@
 #include "core/stats.h"
 #include "web/selector.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig19_20_web_qoe");
+void fig19_20_web_qoe(engine::CampaignContext& ctx,
+                      const faults::Injector* faults) {
   bench::banner("Fig. 19 + Fig. 20", "Web QoE: PLT and energy, 5G vs 4G");
   bench::paper_note(
       "5G always loads faster; 4G always burns less energy; both gaps widen"
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const auto corpus = web::generate_corpus(1500, rng);
   const auto device = power::DevicePowerProfile::s10();
   const auto measurements =
-      web::measure_corpus(corpus, 8, device, rng, emitter.faults());
+      web::measure_corpus(corpus, 8, device, rng, faults);
 
   // Fig. 19a: by object count.
   struct Bin {
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                     Table::num(p4 / count, 2), Table::num(p5 / count, 2),
                     Table::num(e4 / count, 2), Table::num(e5 / count, 2)});
   }
-  emitter.report(fig19a);
+  ctx.report(fig19a);
 
   // Fig. 19b: by total page size.
   const std::vector<std::pair<std::string, std::pair<double, double>>>
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
                     Table::num(p5 / count, 2), Table::num(e4 / count, 2),
                     Table::num(e5 / count, 2)});
   }
-  emitter.report(fig19b);
+  ctx.report(fig19b);
 
   // Fig. 20: CDF percentiles.
   stats::SampleAccumulator plt4, plt5, en4, en5;
@@ -98,13 +98,13 @@ int main(int argc, char** argv) {
                    Table::num(en4.percentile(p), 2),
                    Table::num(en5.percentile(p), 2)});
   }
-  emitter.report(fig20);
+  ctx.report(fig20);
 
-  if (emitter.faults() != nullptr) {
+  if (faults != nullptr) {
     // Faulted runs only: the default document must match the golden.
     int failed_objects = 0;
     for (const auto& m : measurements) failed_objects += m.failed_objects;
-    emitter.metric("failed_objects", failed_objects);
+    ctx.doc.metric("failed_objects", failed_objects);
     bench::measured_note("object fetches failed under fault plan = " +
                          std::to_string(failed_objects));
   }
@@ -115,5 +115,6 @@ int main(int argc, char** argv) {
                        " s; median energy: 5G " +
                        Table::num(en5.median(), 2) + " J vs 4G " +
                        Table::num(en4.median(), 2) + " J");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -6,10 +6,10 @@
 #include "core/stats.h"
 #include "web/selector.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig21_penalty_saving");
+void fig21_penalty_saving(engine::CampaignContext& ctx,
+                          const faults::Injector*) {
   bench::banner("Fig. 21", "4G's PLT penalty vs energy saving over 5G");
   bench::paper_note(
       "Even a 10% PLT penalty buys ~70% energy saving; the saving declines"
@@ -37,11 +37,12 @@ int main(int argc, char** argv) {
                    std::to_string(savings.size()),
                    Table::num(stats::mean(savings), 1)});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "the saving is largest in the lowest-penalty bin and declines with"
       " the penalty, matching the figure's takeaway that the slightest"
       " permissible PLT penalty yields large energy savings.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

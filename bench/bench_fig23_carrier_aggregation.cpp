@@ -8,10 +8,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig23_carrier_aggregation");
+void fig23_carrier_aggregation(engine::CampaignContext& ctx,
+                               const faults::Injector*) {
   bench::banner("Fig. 23", "UE carrier-aggregation capability (PX5 vs S20U)");
   bench::paper_note(
       "S20U's 8CC downlink lifts throughput 50-60% over PX5's 4CC"
@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   double px5_multi = 0.0;
   double s20_multi = 0.0;
   for (const auto& ue : {radio::pixel5(), radio::galaxy_s20u()}) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     net::SpeedtestConfig config;
     config.network = {radio::Carrier::kVerizon, radio::Band::kNrMmWave,
                       radio::DeploymentMode::kNsa};
@@ -47,11 +46,12 @@ int main(int argc, char** argv) {
     if (ue.name == "PX5") px5_multi = multi.downlink_mbps;
     if (ue.name == "S20U") s20_multi = multi.downlink_mbps;
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note("S20U over PX5 = +" +
                        Table::num(100.0 * (s20_multi - px5_multi) / px5_multi,
                                   0) +
                        "% (paper: +50-60%)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,10 +8,10 @@
 #include "net/speedtest.h"
 #include "radio/ue.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig24_server_survey");
+void fig24_server_survey(engine::CampaignContext& ctx,
+                         const faults::Injector* faults) {
   bench::banner("Fig. 24", "In-state server survey (Minnesota, mmWave)");
   bench::paper_note(
       "Verizon's own Minneapolis server tops 3 Gbps; servers 2-23 deliver"
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                     radio::DeploymentMode::kNsa};
   config.ue = radio::galaxy_s20u();
   config.ue_location = geo::minneapolis().point;
-  config.faults = emitter.faults();
+  config.faults = faults;
   net::SpeedtestHarness harness(config);
 
   Table table("Downlink (Mbps, p95 of 10, multi-conn) per server");
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   std::string best_name;
   int errors = 0;
   for (std::size_t i = 0; i < servers.size(); ++i) {
-    if (!emitter.keep_going()) return emitter.exit_code();
     errors += results[i].errors;
     table.add_row({std::to_string(i + 1), servers[i].name,
                    servers[i].port_cap_mbps > 0.0
@@ -55,16 +54,17 @@ int main(int argc, char** argv) {
       best_name = servers[i].name;
     }
   }
-  emitter.report(table);
-  if (emitter.faults() != nullptr) {
+  ctx.report(table);
+  if (faults != nullptr) {
     // Only faulted runs carry an error tally: the default document must
     // stay byte-identical to the committed golden.
-    emitter.metric("connection_errors", errors);
+    ctx.doc.metric("connection_errors", errors);
     bench::measured_note("connection errors under fault plan = " +
                          std::to_string(errors));
   }
   bench::measured_note("best server = " + best_name + " at " +
                        Table::num(best, 0) +
                        " Mbps (paper: Verizon's own server, >3 Gbps)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -6,13 +6,13 @@
 #include "bench_common.h"
 #include "power/power_model.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
+
 using power::DevicePowerProfile;
 using power::RailKey;
 using radio::Direction;
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "fig26_27_s10_power");
+void fig26_27_s10_power(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Fig. 26 + Fig. 27", "S10 power and efficiency (Ann Arbor)");
   bench::paper_note(
       "On the S10 the mmWave/4G crossovers sit at 213 Mbps (DL) and 44 Mbps"
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
                         power::efficiency_uj_per_bit(lte.power_mw(t), t), 4)
                   : "-"});
     }
-    emitter.report(table);
+    ctx.report(table);
 
     const auto crossover = power::crossover_mbps(
         s10.rail(RailKey::kNsaMmWave, direction),
@@ -48,5 +48,6 @@ int main(int argc, char** argv) {
                          Table::num(*crossover, 1) + " Mbps (paper: " +
                          (dl ? "213" : "44") + " Mbps)");
   }
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

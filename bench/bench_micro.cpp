@@ -190,7 +190,11 @@ int main(int argc, char** argv) {
   // Wall-times are machine-dependent, so the golden document pins only the
   // registered benchmark inventory: dropping a family in a refactor is a
   // regression the gate catches, while timing noise is not.
-  bench::MetricsEmitter emitter(argc, argv, "micro");
+  bench::Supervisor supervisor(argc, argv, "micro");
+  if (supervisor.fault_plan().has_value()) {
+    supervisor.fail_usage("--faults: the microbenchmarks inject no faults");
+  }
+  engine::MetricsDocument doc = supervisor.make_document();
   Table inventory("Registered microbenchmark families");
   inventory.set_header({"family", "variants"});
   inventory.add_row({"BM_SimulatorEventChurn", "2"});
@@ -203,14 +207,14 @@ int main(int argc, char** argv) {
   inventory.add_row({"BM_ChannelProcess", "1"});
   inventory.add_row({"BM_MpcDecision", "1"});
   inventory.add_row({"BM_StreamingSession", "1"});
-  emitter.record(inventory);
-  if (emitter.json_requested()) {
-    return emitter.exit_code();  // golden run: inventory only
+  doc.record(inventory);
+  if (supervisor.json_requested()) {
+    return supervisor.finish(doc);  // golden run: inventory only
   }
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return emitter.exit_code();
+  return supervisor.finish(doc);
 }

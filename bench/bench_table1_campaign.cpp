@@ -9,10 +9,9 @@
 #include "traces/traces.h"
 #include "web/website.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table1_campaign");
+void table1_campaign(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Table 1", "Statistics of the (simulated) campaign");
 
   // Counts implied by the bench suite's default parameters.
@@ -49,10 +48,11 @@ int main(int argc, char** argv) {
                  std::to_string(1500 * 2 * 8) + " (1500 sites x 2 radios x 8)"});
   table.add_row({"# of 5G smartphones (models)", "7 (3)",
                  "3 UE profiles (PX5, S20U, S10)"});
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "the simulated campaign matches or exceeds the paper's per-experiment"
       " sample counts; wall-clock field time is replaced by simulation.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

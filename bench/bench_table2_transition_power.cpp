@@ -7,10 +7,10 @@
 #include "power/waveform.h"
 #include "rrc/state_machine.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table2_transition_power");
+void table2_transition_power(engine::CampaignContext& ctx,
+                             const faults::Injector*) {
   bench::banner("Table 2", "Power during RRC state transitions");
   bench::paper_note(
       "Tail power (mW): Verizon 4G 178, T-Mobile 4G 66, Verizon NSA"
@@ -53,10 +53,11 @@ int main(int argc, char** argv) {
                    Table::num(tail_measured, 0), switch_paper,
                    switch_measured});
   }
-  emitter.report(table);
+  ctx.report(table);
   bench::measured_note(
       "5G tails cost more than 4G (mmWave most of all), and the 4G->5G"
       " switch adds a further burst, matching the paper's conclusion that"
       " intermittent transfer patterns should avoid 5G.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,7 +8,7 @@
 #include "power/waveform.h"
 #include "rrc/state_machine.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
 namespace {
 
@@ -44,8 +44,8 @@ power::PowerTrace make_waveform(const std::string& activity,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table3_9_sw_monitor");
+void table3_9_sw_monitor(engine::CampaignContext& ctx,
+                         const faults::Injector*) {
   bench::banner("Table 3 + Table 9", "Software power monitor benchmarking");
   bench::paper_note(
       "Table 3: polling the battery API itself costs power (+654 mW @1 Hz,"
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   table3.add_row({"Monitor on (10Hz)",
                   Table::num(idle + power::software_monitor_overhead_mw(10.0),
                              1)});
-  emitter.report(table3);
+  ctx.report(table3);
 
   Table table9("Table 9: relative error = SW / HW");
   table9.set_header({"test case", "@ 1Hz", "@ 10Hz"});
@@ -85,10 +85,11 @@ int main(int argc, char** argv) {
     }
     table9.add_row(std::move(row));
   }
-  emitter.report(table9);
+  ctx.report(table9);
 
   bench::measured_note(
       "software always under-reads; the 10 Hz column is uniformly closer to"
       " 100%, and the polling overhead grows with rate (Table 3's tradeoff).");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

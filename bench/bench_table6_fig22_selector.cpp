@@ -6,10 +6,10 @@
 #include "bench_common.h"
 #include "web/selector.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table6_fig22_selector");
+void table6_fig22_selector(engine::CampaignContext& ctx,
+                           const faults::Injector*) {
   bench::banner("Table 6 + Fig. 22", "DT radio-interface selection");
   bench::paper_note(
       "Over 420 test websites: M1 (0.2/0.8) picks 5G for 401; M5 (0.8/0.2)"
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                    Table::num(outcome.plt_penalty_percent, 1)});
     selectors.push_back(std::move(selector));
   }
-  emitter.report(table);
+  ctx.report(table);
 
   std::cout << "Fig. 22a - M1 (high performance) decision tree:\n"
             << selectors[0].describe_tree() << "\n";
@@ -75,5 +75,6 @@ int main(int argc, char** argv) {
                        "(paper: PS, DNO)");
   bench::measured_note("M4 dominant features: " + top_features(selectors[3]) +
                        "(paper: NO, DNO)");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -5,7 +5,7 @@
 #include "bench_common.h"
 #include "rrc/probe.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
 namespace {
 std::string opt_num(const std::optional<double>& v) {
@@ -13,8 +13,7 @@ std::string opt_num(const std::optional<double>& v) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table7_rrc_params");
+void table7_rrc_params(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Table 7", "RRC parameters recovered by RRC-Probe");
   bench::paper_note(
       "Inferred UE-inactivity timers ~10.2-10.5 s (4G T-Mobile: 5 s); NSA"
@@ -55,9 +54,10 @@ int main(int argc, char** argv) {
                    Table::num(promo_cfg, 0),
                    Table::num(inferred.promotion_estimate_ms, 0)});
   }
-  emitter.report(table);
+  ctx.report(table);
   bench::measured_note(
       "every timer recovered blind (no access to the generating config)"
       " within a few probe steps of its configured value.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -8,13 +8,13 @@
 #include "core/stats.h"
 #include "power/power_model.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
+
 using power::DevicePowerProfile;
 using power::RailKey;
 using radio::Direction;
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "table8_slopes");
+void table8_slopes(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Table 8", "Throughput-power slopes (mW per Mbps)");
   bench::paper_note(
       "S10: 4G 13.38/57.99 (DL/UL), mmWave 2.06/5.27. S20U: 4G 14.55/80.21,"
@@ -72,9 +72,10 @@ int main(int argc, char** argv) {
                    Table::num(row.paper_dl, 2), Table::num(ul, 2),
                    Table::num(row.paper_ul, 2), Table::num(ul / dl, 1)});
   }
-  emitter.report(table);
+  ctx.report(table);
   bench::measured_note(
       "fitted slopes recover the configured (paper) values within meter"
       " noise; every UL/DL ratio falls in the paper's 2.2-5.9x band.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

@@ -14,7 +14,7 @@
 #include "traces/traces.h"
 #include "web/page_load.h"
 
-using namespace wild5g;
+namespace wild5g::bench {
 
 namespace {
 
@@ -35,8 +35,7 @@ double ground_truth_energy_j(const power::DevicePowerProfile& device,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::MetricsEmitter emitter(argc, argv, "validation_apps");
+void validation_apps(engine::CampaignContext& ctx, const faults::Injector*) {
   bench::banner("Sec. 4.5", "Power-model validation on real applications");
   bench::paper_note(
       "Feeding application packet traces into the TH+SS model reproduces"
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
     double estimated_sum = 0.0;
     double rel_err_sum = 0.0;
     for (const auto& trace : video_traces) {
-      if (!emitter.keep_going()) return emitter.exit_code();
       abr::HarmonicMeanPredictor predictor;
       abr::ModelPredictiveAbr robust(
           abr::ModelPredictiveAbr::Variant::kRobust, predictor);
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
     double estimated_sum = 0.0;
     double rel_err_sum = 0.0;
     for (const auto& site : corpus) {
-      if (!emitter.keep_going()) return emitter.exit_code();
       const auto load = web::load_page(site, config, device, web_rng);
       std::vector<double> rsrp(load.per_second_dl_mbps.size(),
                                config.rsrp_dbm);
@@ -145,11 +142,12 @@ int main(int argc, char** argv) {
                    Table::num(estimated_sum / n, 2),
                    Table::num(100.0 * rel_err_sum / n, 2), "2.1"});
   }
-  emitter.report(table);
+  ctx.report(table);
 
   bench::measured_note(
       "the data-driven model transfers from the walking campaign to unseen"
       " application workloads with single-digit relative error, as in the"
       " paper's validation.");
-  return emitter.exit_code();
 }
+
+}  // namespace wild5g::bench

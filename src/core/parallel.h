@@ -16,7 +16,7 @@
 //      thread after the barrier — FP addition is not associative, so the
 //      reduction order must not depend on which thread finished first.
 //
-// Thread count comes from `--threads N` (stripped by bench::MetricsEmitter)
+// Thread count comes from `--threads N` (parsed by bench::Supervisor)
 // or the WILD5G_THREADS environment variable; the default is the hardware
 // concurrency and `1` restores fully serial execution on the calling
 // thread. The determinism gate (tests/test_golden_determinism.cpp) asserts

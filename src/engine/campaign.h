@@ -41,7 +41,7 @@ inline constexpr std::uint64_t kDefaultSeed = 20210823;
 
 /// Everything needed to (re)construct a campaign deterministically. The
 /// request is what a snapshot embeds, what the service protocol submits,
-/// and what the bench shells assemble from argv.
+/// and what the wild5g_bench driver assembles from argv.
 struct CampaignRequest {
   /// Registry name ("metro_load", "metro_qoe", "drive_soak", ...).
   std::string campaign;
@@ -64,7 +64,7 @@ struct CampaignContext {
   std::ostream* console = nullptr;
 
   /// Prints the table when a console is attached, and records it in the
-  /// document either way — the engine twin of MetricsEmitter::report.
+  /// document either way.
   void report(const Table& table);
 };
 

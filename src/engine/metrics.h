@@ -1,8 +1,7 @@
 // wild5g/engine: the metrics document a campaign accumulates into.
 //
-// Extracted from bench/bench_common.h's MetricsEmitter so the same
-// document-building logic serves three callers: the batch bench binaries
-// (which wrap it back into a MetricsEmitter), the campaign engine's
+// The same document-building logic serves three callers: the wild5g_bench
+// driver (which writes it with `--json`), the campaign engine's
 // checkpoint/resume (which snapshots and restores the partially-built
 // document), and tools/wild5g_serve (which renders it as the final frame of
 // a campaign's metric stream).

@@ -17,9 +17,9 @@ namespace wild5g::engine {
 
 namespace {
 
-/// Rejects plans with kinds the metro substrate does not model; same
-/// contract (and near-identical message) as the bench shells' exit-2 path,
-/// so a bad plan fails a service submit instead of wedging a campaign.
+/// Rejects plans with kinds the metro substrate does not model, so a bad
+/// plan fails a service submit or a bench run (exit 2) instead of wedging a
+/// campaign.
 void require_radio_plan(const faults::FaultPlan& plan,
                         const std::string& campaign) {
   const auto bad = metro::unsupported_fault_kinds(plan);

@@ -437,7 +437,7 @@ TEST(chaos, bench_metro_qoe_faulted_is_thread_count_invariant) {
   EXPECT_EQ(serial, threaded) << "faulted output depends on thread count";
 }
 
-TEST(chaos, bench_metro_rejects_plans_with_unsupported_kinds) {
+TEST(chaos, bench_rejects_plans_it_cannot_inject) {
   // chaos_mixed carries transport/net kinds the metro campaign does not
   // model; running anyway would silently measure a half-applied plan.
   for (const char* bench :
@@ -448,6 +448,12 @@ TEST(chaos, bench_metro_rejects_plans_with_unsupported_kinds) {
               2)
         << bench;
   }
+  // A figure that injects no faults at all must not label its document
+  // with a plan it never applied.
+  EXPECT_EQ(bench_exit_code("bench_table1_campaign",
+                            "--faults " + std::string(WILD5G_FAULT_PLAN_DIR) +
+                                "/chaos_abr_stall.json"),
+            2);
 }
 
 TEST(chaos, bench_rejects_zero_and_garbage_thread_counts) {
@@ -458,6 +464,8 @@ TEST(chaos, bench_rejects_zero_and_garbage_thread_counts) {
     EXPECT_EQ(bench_exit_code(bench, "--threads 0"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--threads nope"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--threads"), 2) << bench;
+    // Any flag the bench does not know is a usage error too, never ignored.
+    EXPECT_EQ(bench_exit_code(bench, "--frobnicate"), 2) << bench;
   }
 }
 

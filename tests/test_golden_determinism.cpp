@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -90,4 +92,33 @@ TEST(GoldenDeterminism, ThreadCountEnvVarDoesNotChangeBytes) {
   }();
   EXPECT_EQ(flagged, via_env)
       << "bench_fig09_handoffs output depends on WILD5G_THREADS";
+}
+
+// The bench list in bench/wild5g_bench.cpp, the build/bench/ aliases from
+// bench.cmake and the committed goldens must name the same benches, so no
+// golden goes unchecked and no bench runs without one.
+TEST(GoldenDeterminism, BenchListGoldensAndAliasesAgree) {
+  namespace fs = std::filesystem;
+  const std::string list_path = ::testing::TempDir() + "wild5g_bench_list.txt";
+  // Under its own name the driver is no bench: it lists them all on stderr.
+  const std::string command =
+      std::string(WILD5G_BENCH_DRIVER) + " 2> " + list_path;
+  EXPECT_NE(std::system(command.c_str()), 0);
+  std::istringstream listing(read_file(list_path));
+  std::remove(list_path.c_str());
+  std::set<std::string> listed;
+  for (std::string line; std::getline(listing, line);) {
+    if (line.rfind("  ", 0) != 0) continue;  // usage text, not an id
+    const std::string name = "bench_" + line.substr(2);
+    listed.insert(name);
+    EXPECT_TRUE(fs::exists(fs::path(WILD5G_GOLDEN_DIR) / (name + ".json")))
+        << name << " has no golden";
+    EXPECT_TRUE(fs::exists(fs::path(WILD5G_BENCH_DIR) / name))
+        << name << " has no build/bench alias";
+  }
+  for (const auto& entry : fs::directory_iterator(WILD5G_GOLDEN_DIR)) {
+    const std::string name = entry.path().stem().string();
+    if (name == "bench_micro") continue;  // google-benchmark, not a figure
+    EXPECT_EQ(listed.count(name), 1U) << entry.path() << " is not listed";
+  }
 }

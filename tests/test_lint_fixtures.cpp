@@ -128,6 +128,13 @@ TEST(lint, fixture_bench_sample_hoard) {
   expect_only_rule("bench/bad_sample_hoard.cpp", "bench-sample-hoard");
 }
 
+TEST(lint, fixture_bench_figure_unordered_iteration) {
+  // A figure feeds the golden document only through its bench_common.h
+  // include; that include alone must arm unordered-iteration.
+  expect_only_rule("bench/bad_figure_unordered_iteration.cpp",
+                   "unordered-iteration");
+}
+
 TEST(lint, fixture_allow_needs_justification) {
   expect_only_rule("bad_allow_missing_justification.cpp",
                    "allow-needs-justification");
@@ -352,7 +359,7 @@ TEST(lint, every_bad_fixture_has_a_test) {
       "bad_unit_double_conversion.cpp", "bad_parallel_rng_capture.cpp",
       "bad_parallel_rng_stream.cpp", "src/core/bad_layering.cpp",
       "src/sim/bad_include_cycle.h", "bad_line_splice.cpp",
-      "bench/bad_sample_hoard.cpp",
+      "bench/bad_sample_hoard.cpp", "bench/bad_figure_unordered_iteration.cpp",
       "bad_effect_write.cpp",     "bad_effect_rng.cpp",
       "bad_effect_alias.cpp",     "bad_effect_unknown.cpp",
       "bad_effect_cycle.cpp",     "bad_effect_splice.cpp",

@@ -1,10 +1,11 @@
-// Supervision suite (`ctest -R supervision`): the batch benches' signal and
+// Supervision suite (`ctest -R supervision`): the benches' signal and
 // deadline behavior, exercised end to end on real bench binaries.
 //
-// Contracts under test (bench/bench_common.h):
-//   - SIGTERM/SIGINT mid-run: the bench stops at its next keep_going()
-//     yield, flushes a *valid* partial metrics document annotated with a
-//     top-level "interrupted": true, and exits 128+signo;
+// Contracts under test (bench/bench_common.h's Supervisor, polled at every
+// engine::run_steps yield point):
+//   - SIGTERM/SIGINT mid-run: the bench stops at its next yield, or at the
+//     end of its last step, flushes a *valid* partial metrics document
+//     annotated with a top-level "interrupted": true, and exits 128+signo;
 //   - --deadline-ms: wall-clock budget; expiry stops the run at a yield,
 //     the partial document carries a "deadline_hit" metric, exit code 0.
 //     The WILD5G_DEADLINE_AFTER_YIELDS env hook trips the same path after
@@ -108,32 +109,44 @@ RunResult run_bench(const std::string& bench,
   return result;
 }
 
-// The regression target: a bench with many yield points and a long enough
-// runtime that a mid-run signal lands between them.
-constexpr const char* kSweepBench = "bench_fig24_server_survey";
+// The multi-yield target: the metro_load campaign at a small size runs 9
+// steps, so a mid-run signal or deadline lands between them.
+constexpr const char* kSweepBench = "bench_extension_metro_load";
+const std::vector<std::string> kSweepArgs = {"--cells", "4", "--ues", "10"};
+// A one-step figure: supervision can only act before or after its step.
+constexpr const char* kFigureBench = "bench_fig24_server_survey";
 
 TEST(supervision, sigterm_flushes_valid_partial_with_interrupted_key) {
-  // The dwell hook stretches each yield to 40 ms so a 200 ms kill lands
-  // mid-sweep deterministically enough to matter, while the handler-based
-  // design keeps any landing spot valid.
-  const RunResult run =
-      run_bench(kSweepBench, {}, {"WILD5G_TEST_YIELD_DELAY_MS=40"},
-                /*kill_after_ms=*/200, SIGTERM);
-  EXPECT_EQ(run.exit_code, 128 + SIGTERM);
-  ASSERT_FALSE(run.document.empty())
-      << "interrupted bench left no partial document";
-  const json::Value doc = json::parse(run.document);  // valid JSON or throw
-  const json::Value* interrupted = doc.find("interrupted");
-  ASSERT_NE(interrupted, nullptr) << run.document.substr(0, 200);
-  EXPECT_TRUE(interrupted->as_bool());
-  // Identity fields must survive the partial flush.
-  ASSERT_NE(doc.find("bench"), nullptr);
-  EXPECT_EQ(doc.find("bench")->as_string(), "fig24_server_survey");
+  // The metro sweep dwells 40 ms per yield so a 200 ms kill lands between
+  // steps; fig18a is one ~1.2 s step, so the same kill lands inside it and
+  // must still end the run as interrupted once the step finishes.
+  struct Case {
+    const char* bench;
+    std::vector<std::string> args;
+    const char* id;
+  };
+  for (const Case& c :
+       {Case{kSweepBench, kSweepArgs, "extension_metro_load"},
+        Case{"bench_fig18a_predictors", {}, "fig18a_predictors"}}) {
+    const RunResult run =
+        run_bench(c.bench, c.args, {"WILD5G_TEST_YIELD_DELAY_MS=40"},
+                  /*kill_after_ms=*/200, SIGTERM);
+    EXPECT_EQ(run.exit_code, 128 + SIGTERM) << c.bench;
+    ASSERT_FALSE(run.document.empty())
+        << c.bench << ": interrupted bench left no partial document";
+    const json::Value doc = json::parse(run.document);  // valid JSON or throw
+    const json::Value* interrupted = doc.find("interrupted");
+    ASSERT_NE(interrupted, nullptr) << run.document.substr(0, 200);
+    EXPECT_TRUE(interrupted->as_bool());
+    // Identity fields must survive the partial flush.
+    ASSERT_NE(doc.find("bench"), nullptr);
+    EXPECT_EQ(doc.find("bench")->as_string(), c.id);
+  }
 }
 
 TEST(supervision, sigint_behaves_like_sigterm_with_its_own_code) {
   const RunResult run =
-      run_bench(kSweepBench, {}, {"WILD5G_TEST_YIELD_DELAY_MS=40"},
+      run_bench(kSweepBench, kSweepArgs, {"WILD5G_TEST_YIELD_DELAY_MS=40"},
                 /*kill_after_ms=*/200, SIGINT);
   EXPECT_EQ(run.exit_code, 128 + SIGINT);
   ASSERT_FALSE(run.document.empty());
@@ -141,34 +154,13 @@ TEST(supervision, sigint_behaves_like_sigterm_with_its_own_code) {
   ASSERT_NE(doc.find("interrupted"), nullptr);
 }
 
-TEST(supervision, deadline_yield_hook_is_deterministic_and_exits_zero) {
-  // Trip the deadline path after exactly 3 yields — no clock involved, so
-  // two runs must produce byte-identical partial documents.
-  const RunResult first = run_bench(
-      kSweepBench, {"--deadline-ms", "3600000"},
-      {"WILD5G_DEADLINE_AFTER_YIELDS=3"});
-  const RunResult second = run_bench(
-      kSweepBench, {"--deadline-ms", "3600000"},
-      {"WILD5G_DEADLINE_AFTER_YIELDS=3"});
-  EXPECT_EQ(first.exit_code, 0) << "a deadline is a supervised outcome";
-  ASSERT_FALSE(first.document.empty());
-  EXPECT_EQ(first.document, second.document)
-      << "deterministic deadline partials diverged";
-  const json::Value doc = json::parse(first.document);
-  const json::Value* metrics = doc.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const json::Value* deadline = metrics->find("deadline_hit");
-  ASSERT_NE(deadline, nullptr) << first.document.substr(0, 200);
-  EXPECT_EQ(deadline->as_number(), 1.0);
-  EXPECT_EQ(doc.find("interrupted"), nullptr)
-      << "deadline and interruption are distinct outcomes";
-}
-
 TEST(supervision, wall_clock_deadline_stops_a_long_run) {
   // A real (clock-based) deadline: 1 ms budget plus a 20 ms dwell per
   // yield guarantees expiry at the first yield checked after the budget.
-  const RunResult run = run_bench(kSweepBench, {"--deadline-ms", "1"},
-                                  {"WILD5G_TEST_YIELD_DELAY_MS=20"});
+  std::vector<std::string> args = kSweepArgs;
+  args.insert(args.end(), {"--deadline-ms", "1"});
+  const RunResult run =
+      run_bench(kSweepBench, args, {"WILD5G_TEST_YIELD_DELAY_MS=20"});
   EXPECT_EQ(run.exit_code, 0);
   ASSERT_FALSE(run.document.empty());
   const json::Value doc = json::parse(run.document);
@@ -184,7 +176,7 @@ TEST(supervision, garbage_deadline_values_are_usage_errors) {
         std::vector<std::string>{"--deadline-ms", "-5"},
         std::vector<std::string>{"--deadline-ms", "10x"},
         std::vector<std::string>{"--deadline-ms", "4294967296"}}) {
-    const RunResult run = run_bench(kSweepBench, args, {});
+    const RunResult run = run_bench(kFigureBench, args, {});
     EXPECT_EQ(run.exit_code, 2) << args[1];
     EXPECT_TRUE(run.document.empty())
         << "usage errors must not leave a document behind";
@@ -194,7 +186,7 @@ TEST(supervision, garbage_deadline_values_are_usage_errors) {
 TEST(supervision, clean_run_document_mentions_no_supervision_keys) {
   // Golden byte-identity depends on supervision being invisible when no
   // supervision event fired.
-  const RunResult run = run_bench(kSweepBench, {}, {});
+  const RunResult run = run_bench(kFigureBench, {}, {});
   EXPECT_EQ(run.exit_code, 0);
   ASSERT_FALSE(run.document.empty());
   EXPECT_EQ(run.document.find("interrupted"), std::string::npos);
@@ -202,22 +194,27 @@ TEST(supervision, clean_run_document_mentions_no_supervision_keys) {
 }
 
 TEST(supervision, engine_backed_bench_honors_deadline_hook) {
-  // The metro shells route supervision through engine::run_steps rather
-  // than a hand-written loop; the same deterministic-deadline contract
-  // must hold there.
-  const RunResult first = run_bench(
-      "bench_extension_metro_load", {"--cells", "4", "--ues", "10"},
-      {"WILD5G_DEADLINE_AFTER_YIELDS=2"});
-  const RunResult second = run_bench(
-      "bench_extension_metro_load", {"--cells", "4", "--ues", "10"},
-      {"WILD5G_DEADLINE_AFTER_YIELDS=2"});
-  EXPECT_EQ(first.exit_code, 0);
+  // Trip the deadline path after exactly 3 yields — no clock involved, so
+  // two runs must produce byte-identical partial documents. The long
+  // --deadline-ms budget proves the hook, not the clock, stopped the run.
+  std::vector<std::string> args = kSweepArgs;
+  args.insert(args.end(), {"--deadline-ms", "3600000"});
+  const RunResult first =
+      run_bench(kSweepBench, args, {"WILD5G_DEADLINE_AFTER_YIELDS=3"});
+  const RunResult second =
+      run_bench(kSweepBench, args, {"WILD5G_DEADLINE_AFTER_YIELDS=3"});
+  EXPECT_EQ(first.exit_code, 0) << "a deadline is a supervised outcome";
   ASSERT_FALSE(first.document.empty());
-  EXPECT_EQ(first.document, second.document);
+  EXPECT_EQ(first.document, second.document)
+      << "deterministic deadline partials diverged";
   const json::Value doc = json::parse(first.document);
   const json::Value* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
-  EXPECT_NE(metrics->find("deadline_hit"), nullptr);
+  const json::Value* deadline = metrics->find("deadline_hit");
+  ASSERT_NE(deadline, nullptr) << first.document.substr(0, 200);
+  EXPECT_EQ(deadline->as_number(), 1.0);
+  EXPECT_EQ(doc.find("interrupted"), nullptr)
+      << "deadline and interruption are distinct outcomes";
 }
 
 }  // namespace
