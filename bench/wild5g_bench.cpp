@@ -150,14 +150,20 @@ std::unique_ptr<engine::Campaign> make_figure_campaign(
 
 /// The flags the Supervisor left in argv, as campaign params: a value that
 /// parses as JSON keeps its type, anything else is passed as a string.
+/// `--name value` and `--name=value` (split on the first '=', as the
+/// Supervisor splits its own flags) are the same param.
 json::Value params_from(int argc, char** argv, const Supervisor& supervisor) {
   json::Value params;
   for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag.size() <= 2 || flag.rfind("--", 0) != 0 || i + 1 >= argc) {
-      supervisor.fail_usage("unknown flag '" + flag + "'");
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    if (flag.size() <= 2 || flag.rfind("--", 0) != 0 ||
+        (eq == std::string::npos && i + 1 >= argc)) {
+      supervisor.fail_usage("unknown flag '" + arg + "'");
     }
-    json::Value value = argv[++i];
+    json::Value value =
+        eq != std::string::npos ? arg.substr(eq + 1) : std::string(argv[++i]);
     try {
       value = json::parse(value.as_string());
     } catch (const std::exception&) {

@@ -157,8 +157,8 @@ int ModelPredictiveAbr::choose_track(const AbrContext& context) {
     const double actual = context.past_chunk_mbps.back();
     const double err =
         std::abs(last_prediction_mbps_ - actual) / std::max(0.01, actual);
-    // Cap at 100%: one outage prediction miss should halve the estimate,
-    // not zero it for the next five chunks.
+    // Cap at 70%: robustMPC divides the estimate by 1 + max error, so one
+    // outage miss trims it to 1/1.7 (~59%) for five chunks, not to 50%.
     relative_errors_.push_back(std::min(err, 0.7));
     if (relative_errors_.size() > 5) relative_errors_.pop_front();
   }

@@ -1,8 +1,8 @@
 // Fixture: a mutex-confined global written from inside a parallel task body.
-// The justified allow() audits the global, which takes it out of both the
-// global-mutable-state inventory and the effect engine's writes_global set,
-// so the task body's call chain to the write raises nothing. This is the
-// pattern src/core/parallel.cpp uses for its pool singletons.
+// The justified allow() (a two-line comment above the declaration) audits
+// the global, so it leaves the global-mutable-state inventory and the task
+// body's call chain to the write raises nothing. This is the pattern
+// src/core/parallel.cpp uses for its pool singletons.
 #include <mutex>
 
 namespace wild5g::fixture_audited_global {

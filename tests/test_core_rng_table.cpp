@@ -1,4 +1,4 @@
-// Tests for the deterministic RNG, units helpers, and table rendering.
+// Tests for the deterministic RNG and table rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/table.h"
-#include "core/units.h"
 
 using wild5g::Rng;
 using wild5g::Table;
@@ -117,17 +116,6 @@ TEST(Rng, PickRejectsEmpty) {
   Rng rng(9);
   std::vector<int> empty;
   EXPECT_THROW((void)rng.pick(std::span<const int>(empty)), wild5g::Error);
-}
-
-TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(wild5g::mbps_to_bps(1.5), 1.5e6);
-  EXPECT_DOUBLE_EQ(wild5g::bps_to_mbps(2e6), 2.0);
-  EXPECT_DOUBLE_EQ(wild5g::mw_to_w(1500.0), 1.5);
-  EXPECT_DOUBLE_EQ(wild5g::w_to_mw(2.0), 2000.0);
-  EXPECT_DOUBLE_EQ(wild5g::ms_to_s(250.0), 0.25);
-  EXPECT_DOUBLE_EQ(wild5g::s_to_ms(0.5), 500.0);
-  EXPECT_DOUBLE_EQ(wild5g::km_to_m(1.2), 1200.0);
-  EXPECT_DOUBLE_EQ(wild5g::m_to_km(500.0), 0.5);
 }
 
 TEST(Table, RendersHeaderAndRows) {

@@ -4,9 +4,18 @@
 // nondeterminism (unseeded RNG, iteration over pointer-keyed maps, time- or
 // address-dependent output) shows up here as a byte diff.
 //
+// The same holds across thread counts: every bench but fig18b (whose path is
+// serial) must emit the same bytes at --threads 1 and --threads 8, one ctest
+// case per bench (GoldenDeterminism/ThreadCount.DoesNotChangeBytes/<bench>),
+// so every bench that fans out is covered. A parallel
+// task that reaches shared state through a call chain — a file-static
+// accumulator, a member Rng — shows up there as a byte diff, and as a data
+// race when the CI TSan lane runs the same cases.
+//
 // WILD5G_BENCH_DIR is injected by tests/CMakeLists.txt and points at the
 // build tree's bench/ output directory.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +24,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -43,6 +53,45 @@ std::string run_bench_json(const std::string& bench, const std::string& tag,
   return content;
 }
 
+/// The driver's bench list as `bench_<id>` alias names. Under its own name
+/// the driver is no bench: it prints the ids on stderr and exits 2. Runs at
+/// test registration, so it reports nothing through gtest; an empty list
+/// leaves ThreadCount uninstantiated, which gtest reports as a failure.
+/// `exit_code`, when given, receives the driver's exit status.
+std::vector<std::string> listed_benches(int* exit_code = nullptr) {
+  const std::string command =
+      std::string(WILD5G_BENCH_DRIVER) + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return {};
+  std::string text;
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    text.append(buffer, n);
+  }
+  const int status = pclose(pipe);
+  if (exit_code != nullptr) {
+    *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+  std::vector<std::string> names;
+  std::istringstream listing(text);
+  for (std::string line; std::getline(listing, line);) {
+    if (line.rfind("  ", 0) != 0) continue;  // usage text, not an id
+    names.push_back("bench_" + line.substr(2));
+  }
+  return names;
+}
+
+/// Every listed bench but fig18b. Its only path is evaluate_on_traces ->
+/// MPC, which is serial: it reaches no parallel_map/parallel_for, so the
+/// thread count cannot touch its bytes, and it is by far the slowest bench
+/// (~172 s per run in Release, two runs per case).
+std::vector<std::string> thread_count_benches() {
+  std::vector<std::string> names = listed_benches();
+  std::erase(names, "bench_fig18b_chunk_length");
+  return names;
+}
+
 void expect_two_runs_identical(const std::string& bench) {
   const std::string first = run_bench_json(bench, "a");
   const std::string second = run_bench_json(bench, "b");
@@ -66,20 +115,26 @@ TEST(GoldenDeterminism, AbrQoeBenchIsByteIdentical) {
 
 // The parallel campaign runner's contract: thread count is a pure
 // performance knob. One worker vs eight must emit byte-identical metrics
-// documents (per-task forked Rng substreams, index-ordered reduction), on a
-// bench whose campaign loops actually fan out.
-TEST(GoldenDeterminism, ThreadCountDoesNotChangeBytes) {
-  const std::string serial =
-      run_bench_json("bench_fig24_server_survey", "t1", "--threads 1");
-  const std::string threaded =
-      run_bench_json("bench_fig24_server_survey", "t8", "--threads 8");
+// documents (per-task forked Rng substreams, index-ordered reduction) on
+// every bench that fans out.
+class ThreadCount : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ThreadCount, DoesNotChangeBytes) {
+  const std::string& bench = GetParam();
+  const std::string serial = run_bench_json(bench, "t1", "--threads 1");
+  const std::string threaded = run_bench_json(bench, "t8", "--threads 8");
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, threaded)
-      << "bench_fig24_server_survey output depends on thread count";
+  EXPECT_EQ(serial, threaded) << bench << " output depends on thread count";
   // The document must not record the thread count, or byte-identity across
   // --threads values could never hold.
   EXPECT_EQ(serial.find("threads"), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(GoldenDeterminism, ThreadCount,
+                         ::testing::ValuesIn(thread_count_benches()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 TEST(GoldenDeterminism, ThreadCountEnvVarDoesNotChangeBytes) {
   const std::string flagged =
@@ -99,17 +154,12 @@ TEST(GoldenDeterminism, ThreadCountEnvVarDoesNotChangeBytes) {
 // golden goes unchecked and no bench runs without one.
 TEST(GoldenDeterminism, BenchListGoldensAndAliasesAgree) {
   namespace fs = std::filesystem;
-  const std::string list_path = ::testing::TempDir() + "wild5g_bench_list.txt";
-  // Under its own name the driver is no bench: it lists them all on stderr.
-  const std::string command =
-      std::string(WILD5G_BENCH_DRIVER) + " 2> " + list_path;
-  EXPECT_NE(std::system(command.c_str()), 0);
-  std::istringstream listing(read_file(list_path));
-  std::remove(list_path.c_str());
+  int exit_code = 0;
+  const std::vector<std::string> names = listed_benches(&exit_code);
+  EXPECT_NE(exit_code, 0) << "the driver ran as a bench under its own name";
+  ASSERT_FALSE(names.empty()) << "the driver listed no benches";
   std::set<std::string> listed;
-  for (std::string line; std::getline(listing, line);) {
-    if (line.rfind("  ", 0) != 0) continue;  // usage text, not an id
-    const std::string name = "bench_" + line.substr(2);
+  for (const std::string& name : names) {
     listed.insert(name);
     EXPECT_TRUE(fs::exists(fs::path(WILD5G_GOLDEN_DIR) / (name + ".json")))
         << name << " has no golden";

@@ -215,6 +215,14 @@ TEST(supervision, engine_backed_bench_honors_deadline_hook) {
   EXPECT_EQ(deadline->as_number(), 1.0);
   EXPECT_EQ(doc.find("interrupted"), nullptr)
       << "deadline and interruption are distinct outcomes";
+  // `--name=value` is the same request as `--name value`, for campaign
+  // params as for the supervisor's own flags.
+  const RunResult eq_form = run_bench(
+      kSweepBench, {"--cells=4", "--ues=10", "--deadline-ms=3600000"},
+      {"WILD5G_DEADLINE_AFTER_YIELDS=3"});
+  EXPECT_EQ(eq_form.exit_code, 0);
+  EXPECT_EQ(eq_form.document, first.document)
+      << "--cells=4 --ues=10 parsed differently from --cells 4 --ues 10";
 }
 
 }  // namespace

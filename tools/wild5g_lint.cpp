@@ -1,29 +1,22 @@
-// wild5g-lint / wild5g-analyze: source-level enforcement of the repo's
-// determinism, unit-hygiene, and layering contracts.
+// wild5g-lint: source-level enforcement of the repo's determinism and
+// layering contracts.
 //
 // The golden-metrics harness (bench/golden/, tools/golden_check) only proves
 // reproducibility if nothing in the tree can smuggle nondeterminism past the
-// seeded wild5g::Rng streams — and only proves *correctness* if the doubles
-// flowing into each figure carry the physical unit their name claims. This
-// tool makes both contracts machine-checked: a hand-rolled tokenizer (no
-// libclang dependency) feeds a semantic layer — a preprocessor-lite include
-// graph, per-file symbol scans, and a cross-file function-signature index —
-// and a rule engine runs over src/, bench/, tools/, and examples/, failing
-// the build on violations.
+// seeded wild5g::Rng streams. This tool makes that contract machine-checked:
+// a hand-rolled tokenizer (no libclang dependency) feeds per-file scans
+// (symbols, function bodies, an include graph), and a rule engine runs over
+// src/, bench/, tools/, and examples/, failing the build on violations.
+// Bugs that only show through a call chain (a task reaching shared state
+// several frames down) are left to the runtime gates: the per-bench
+// thread-count byte-identity tests and the TSan lane (DESIGN.md §8).
 //
 // Rule families (see --list-rules, --rules-doc, docs/LINT_RULES.md):
 //   determinism  ban-random-device, ban-c-rand, ban-wall-clock,
 //                ban-raw-engine, unordered-iteration — nothing may bypass
 //                the seeded wild5g::Rng streams or leak hash order into
 //                emitted metrics.
-//   units        unit-mismatch-assign, unit-mismatch-call,
-//                unit-double-conversion — identifier suffixes from
-//                src/core/units.h (_ms, _s, _mbps, _mw, ...) are treated as
-//                static unit annotations: assignments and call-argument
-//                bindings whose suffixes disagree must route through a
-//                units.h conversion helper, and redundant conversions are
-//                flagged.
-//   parallel     parallel-rng-capture, parallel-rng-stream — the static twin
+//   parallel     parallel-rng-capture, parallel-rng-stream — the lexical twin
 //                of the runtime byte-identity gate: Rng objects captured by
 //                reference into parallel_map/parallel_for task lambdas, and
 //                draws inside task bodies on streams not derived from
@@ -32,7 +25,10 @@
 //                downward (src/core depends on nothing outside core, src/sim
 //                sits below radio/net/abr/web, bench/ headers are never
 //                included from src/) and cycles are findings.
-//   hygiene      float-equality, printf-float, catch-swallow.
+//   hygiene      float-equality, printf-float, catch-swallow,
+//                bench-sample-hoard, engine-blocking-call,
+//                global-mutable-state, arena-escape,
+//                checkpoint-restore-symmetry.
 //   meta         allow-needs-justification, unknown-rule.
 //
 // Suppression: a finding is waived by a directive comment — on the same line
@@ -78,10 +74,9 @@ struct RuleInfo {
   std::string_view family;
   std::string_view summary;
   std::string_view fixit;  // generic mechanical-fix hint; empty if contextual
-  std::string_view effects = {};  // effect bits the rule keys on ("" = none)
 };
 
-constexpr std::array<RuleInfo, 26> kRules = {{
+constexpr std::array<RuleInfo, 19> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -124,20 +119,6 @@ constexpr std::array<RuleInfo, 26> kRules = {{
      "engine/snapshot.{h,cpp} is the sole sanctioned checkpoint writer",
      "move the I/O into engine/snapshot.cpp or hoist it to the supervising "
      "layer (bench_common.h, tools/wild5g_serve.cpp)"},
-    {"unit-mismatch-assign", "units",
-     "assignment or initialization whose unit suffixes disagree; route the "
-     "value through a units.h conversion helper",
-     "wrap the right-hand side in the wild5g:: conversion helper named in "
-     "the finding"},
-    {"unit-mismatch-call", "units",
-     "call argument's unit suffix disagrees with the parameter's declared "
-     "suffix; convert at the call site",
-     "wrap the argument in the wild5g:: conversion helper named in the "
-     "finding"},
-    {"unit-double-conversion", "units",
-     "redundant units.h conversion: the argument is already in the target "
-     "unit, or an inverse pair cancels out",
-     "drop the redundant conversion call(s)"},
     {"parallel-rng-capture", "parallel",
      "Rng captured by reference into a parallel_map/parallel_for task "
      "lambda; concurrent draws race and break byte-identical goldens",
@@ -148,50 +129,19 @@ constexpr std::array<RuleInfo, 26> kRules = {{
      "fork(i)/split(); per-task streams keep goldens thread-count invariant",
      "derive a per-task stream with base.fork(i) (or construct an Rng from "
      "a per-task seed) before drawing"},
-    {"parallel-effect-write", "effects",
-     "a parallel_map/parallel_for task body calls a function whose "
-     "transitive effects include a write to namespace-scope or static-local "
-     "mutable state; concurrent shared writes race and break byte-identical "
-     "goldens",
-     "hoist the state into per-task results collected index-ordered and "
-     "reduced on the caller's thread, or const-qualify it",
-     "writes_global"},
-    {"parallel-effect-rng", "effects",
-     "a parallel task body calls a function that transitively draws from an "
-     "Rng stream not derived per task (a member/global stream, or a "
-     "captured outer stream passed by reference)",
-     "pass the callee a task-local stream derived via base.fork(i) (or "
-     "construct the drawing object inside the task body)",
-     "draws_rng"},
-    {"parallel-effect-alias", "effects",
-     "a parallel task body passes an object captured from the enclosing "
-     "scope — shared across tasks — to a function that mutates its "
-     "parameter; concurrent mutation races",
-     "give each task its own copy and merge index-ordered results after "
-     "the barrier",
-     "mutates_param"},
-    {"parallel-effect-unknown", "effects",
-     "a parallel task body calls a function whose effects the engine "
-     "cannot resolve (same-name definitions with conflicting effect sets "
-     "are poisoned conservatively); the call needs a human audit",
-     "disambiguate the overload set (rename, or align the overloads' "
-     "effects) or justify via allow",
-     "unknown"},
-    {"global-mutable-state", "effects",
+    {"global-mutable-state", "hygiene",
      "non-const namespace-scope or static-local variable in src/; every "
      "piece of shared mutable state is an entry in the inventory the "
      "multi-UE scheduler refactor must drain",
      "const-qualify it, confine it with thread_local or a sync primitive "
-     "(std::mutex & friends are allow-listed), or justify via allow",
-     "writes_global"},
-    {"arena-escape", "effects",
+     "(std::mutex & friends are allow-listed), or justify via allow"},
+    {"arena-escape", "hygiene",
      "a pointer obtained from a core/arena.h allocation is stored into "
      "storage that outlives the handler scope (member, global, long-lived "
      "container) or returned; arena recycling makes this a latent "
      "use-after-free",
      "keep arena pointers handler-local; hand out EventIds or copy the "
-     "payload out instead",
-     "allocates"},
+     "payload out instead"},
     {"checkpoint-restore-symmetry", "hygiene",
      "a state key serialized in checkpoint_state has no counterpart in the "
      "paired restore_state (or vice versa); asymmetric checkpoint I/O "
@@ -211,9 +161,8 @@ constexpr std::array<RuleInfo, 26> kRules = {{
 }};
 
 // Family display order for --rules-doc and --list-rules grouping.
-constexpr std::array<std::string_view, 7> kFamilies = {
-    "determinism", "units",   "parallel", "effects",
-    "layering",    "hygiene", "meta"};
+constexpr std::array<std::string_view, 5> kFamilies = {
+    "determinism", "parallel", "layering", "hygiene", "meta"};
 
 bool is_known_rule(std::string_view id) {
   return std::any_of(kRules.begin(), kRules.end(),
@@ -925,279 +874,9 @@ void check_unordered_iteration(const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// Unit vocabulary. The suffixes and conversion helpers mirror
-// src/core/units.h — a name's trailing `_<unit>` is treated as a static unit
-// annotation, and the helpers are the only sanctioned way to move a value
-// between units.
-
-const std::set<std::string>& unit_suffixes() {
-  static const std::set<std::string> kUnits = {
-      "mbps", "bps", "ms", "s", "km", "m", "mw", "w", "j", "uj", "dbm",
-      "mhz"};
-  return kUnits;
-}
-
-struct Conversion {
-  std::string from;
-  std::string to;
-};
-
-const std::map<std::string, Conversion>& conversions() {
-  static const std::map<std::string, Conversion> kConv = {
-      {"mbps_to_bps", {"mbps", "bps"}}, {"bps_to_mbps", {"bps", "mbps"}},
-      {"ms_to_s", {"ms", "s"}},         {"s_to_ms", {"s", "ms"}},
-      {"km_to_m", {"km", "m"}},         {"m_to_km", {"m", "km"}},
-      {"mw_to_w", {"mw", "w"}},         {"w_to_mw", {"w", "mw"}}};
-  return kConv;
-}
-
-std::string conversion_between(const std::string& from,
-                               const std::string& to) {
-  for (const auto& [name, conv] : conversions()) {
-    if (conv.from == from && conv.to == to) return name;
-  }
-  return {};
-}
-
-/// The unit a name carries, or "" when it carries none. The suffix after the
-/// last underscore always counts (`rtt_ms` -> ms); a bare name counts only
-/// when it is a multi-character unit word (`ms`, `km`, `mbps` — the units.h
-/// helpers name their parameter after the unit), because single letters like
-/// s/m/w/j are far too common as ordinary identifiers.
-std::string unit_of(const std::string& name) {
-  if (conversions().count(name) != 0) return {};
-  const auto& units = unit_suffixes();
-  const auto us = name.rfind('_');
-  if (us != std::string::npos) {
-    const std::string suffix = name.substr(us + 1);
-    return units.count(suffix) != 0 ? suffix : std::string{};
-  }
-  if (name.size() >= 2 && units.count(name) != 0) return name;
-  return {};
-}
-
-/// When [b, e) is `wild5g::<helper>(...)` or `<helper>(...)` spanning the
-/// whole range, reports the helper name and argument span. Used both by unit
-/// inference and by the double-conversion check.
-bool is_conversion_call(const std::vector<Token>& toks, std::size_t b,
-                        std::size_t e, std::string* name, std::size_t* arg_b,
-                        std::size_t* arg_e) {
-  std::size_t i = b;
-  if (i + 1 < e && toks[i].text == "wild5g" && toks[i + 1].text == "::") {
-    i += 2;
-  }
-  if (i >= e || toks[i].kind != Token::Kind::kIdent ||
-      conversions().count(toks[i].text) == 0) {
-    return false;
-  }
-  if (i + 1 >= e || toks[i + 1].text != "(") return false;
-  const std::size_t close = find_match(toks, i + 1, "(", ")", e);
-  if (close != e - 1) return false;
-  *name = toks[i].text;
-  *arg_b = i + 2;
-  *arg_e = close;
-  return true;
-}
-
-/// Conservative unit inference over an expression span [b, e). Only shapes
-/// whose unit is unambiguous are resolved: a units.h conversion call yields
-/// its target unit, static_cast is transparent, and a simple access chain
-/// (x, obj.field_ms, arr[i].rtt_ms, ns::var_s) yields the unit of its last
-/// component. Arithmetic, other calls, and anything else yield "" — silence
-/// beats a false positive in a lint gate that fails the build.
-std::string infer_unit(const std::vector<Token>& toks, std::size_t b,
-                       std::size_t e) {
-  while (b < e && toks[b].kind == Token::Kind::kPunct &&
-         toks[b].text == "(" && find_match(toks, b, "(", ")", e) == e - 1) {
-    ++b;
-    --e;
-  }
-  if (b >= e) return {};
-  if (toks[b].kind == Token::Kind::kIdent && toks[b].text == "static_cast" &&
-      b + 1 < e && toks[b + 1].text == "<") {
-    const std::size_t gt = find_match(toks, b + 1, "<", ">", e);
-    if (gt != kNpos && gt + 1 < e && toks[gt + 1].text == "(") {
-      const std::size_t close = find_match(toks, gt + 1, "(", ")", e);
-      if (close == e - 1) return infer_unit(toks, gt + 2, close);
-    }
-    return {};
-  }
-  std::string conv;
-  std::size_t ab = 0;
-  std::size_t ae = 0;
-  if (is_conversion_call(toks, b, e, &conv, &ab, &ae)) {
-    return conversions().at(conv).to;
-  }
-  std::string last_ident;
-  int bracket = 0;
-  for (std::size_t j = b; j < e; ++j) {
-    const Token& t = toks[j];
-    if (t.kind == Token::Kind::kPunct) {
-      if (t.text == "[") {
-        ++bracket;
-        continue;
-      }
-      if (t.text == "]") {
-        --bracket;
-        continue;
-      }
-      if (t.text == "." || t.text == "->" || t.text == "::") continue;
-      return {};
-    }
-    if (t.kind == Token::Kind::kNumber) continue;
-    if (t.kind != Token::Kind::kIdent) return {};
-    if (bracket > 0) continue;
-    // Two adjacent identifiers (a declaration, `const x`, ...) break the
-    // access-chain shape.
-    if (j > b && toks[j - 1].kind == Token::Kind::kIdent) return {};
-    last_ident = t.text;
-  }
-  return last_ident.empty() ? std::string{} : unit_of(last_ident);
-}
-
-/// unit-mismatch-assign: `lhs_ms = rhs_s` (also +=, -=, and declaration
-/// initializers, default arguments, designated initializers). Both sides
-/// must resolve to a known unit for a finding; unknown shapes are skipped.
-void check_unit_assign(const std::vector<Token>& toks, const FileContext& ctx,
-                       std::vector<Finding>& out) {
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kPunct) continue;
-    const std::string& op = toks[i].text;
-    if (op != "=" && op != "+=" && op != "-=") continue;
-    // LHS: identifier (possibly behind a balanced subscript) before the op.
-    std::size_t l = i - 1;
-    if (toks[l].kind == Token::Kind::kPunct && toks[l].text == "]") {
-      int depth = 0;
-      std::size_t j = l;
-      bool matched = false;
-      while (true) {
-        if (toks[j].kind == Token::Kind::kPunct) {
-          if (toks[j].text == "]") ++depth;
-          if (toks[j].text == "[" && --depth == 0) {
-            matched = true;
-            break;
-          }
-        }
-        if (j == 0) break;
-        --j;
-      }
-      if (!matched || j == 0) continue;
-      l = j - 1;
-    }
-    if (toks[l].kind != Token::Kind::kIdent) continue;
-    const std::string lhs_unit = unit_of(toks[l].text);
-    if (lhs_unit.empty()) continue;
-    // RHS: up to the end of this initializer/statement at depth 0. The scan
-    // is bounded — a unit either surfaces in a short span or not at all.
-    std::size_t re = kNpos;
-    const std::size_t cap = std::min(toks.size(), i + 1 + 64);
-    int depth = 0;
-    for (std::size_t j = i + 1; j < cap; ++j) {
-      if (toks[j].kind != Token::Kind::kPunct) continue;
-      const std::string& t = toks[j].text;
-      if (t == "(" || t == "[" || t == "{") {
-        ++depth;
-      } else if (t == ")" || t == "]" || t == "}") {
-        if (depth == 0) {
-          re = j;
-          break;
-        }
-        --depth;
-      } else if (depth == 0 && (t == ";" || t == ",")) {
-        re = j;
-        break;
-      }
-    }
-    if (re == kNpos || re == i + 1) continue;
-    const std::string rhs_unit = infer_unit(toks, i + 1, re);
-    if (rhs_unit.empty() || rhs_unit == lhs_unit) continue;
-    Finding f{ctx.display_path, toks[i].line, "unit-mismatch-assign",
-              "'" + toks[l].text + "' carries unit '" + lhs_unit +
-                  "' but the right-hand side is in '" + rhs_unit + "'",
-              {}};
-    const std::string helper = conversion_between(rhs_unit, lhs_unit);
-    if (!helper.empty()) {
-      f.fixit = "wrap the right-hand side in wild5g::" + helper + "(...)";
-    } else {
-      f.message += "; no units.h helper converts " + rhs_unit + " to " +
-                   lhs_unit + " — this looks like a dimensional error";
-    }
-    out.push_back(std::move(f));
-  }
-}
-
-/// unit-double-conversion / unit-mismatch-call for the units.h helpers
-/// themselves: `ms_to_s(x_s)` (already converted), `s_to_ms(ms_to_s(x))`
-/// (round trip), `ms_to_s(x_km)` (wrong family).
-void check_unit_conversion_calls(const std::vector<Token>& toks,
-                                 const FileContext& ctx,
-                                 std::vector<Finding>& out) {
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        conversions().count(toks[i].text) == 0 || !next_is(toks, i, "(")) {
-      continue;
-    }
-    const std::size_t close = find_match(toks, i + 1, "(", ")", toks.size());
-    if (close == kNpos || close == i + 2) continue;
-    const Conversion& conv = conversions().at(toks[i].text);
-    const std::size_t ab = i + 2;
-    const std::size_t ae = close;
-    std::string inner;
-    std::size_t ib = 0;
-    std::size_t ie = 0;
-    if (is_conversion_call(toks, ab, ae, &inner, &ib, &ie)) {
-      const Conversion& ic = conversions().at(inner);
-      if (ic.from == conv.to && ic.to == conv.from) {
-        out.push_back(
-            {ctx.display_path, toks[i].line, "unit-double-conversion",
-             "'" + toks[i].text + "(" + inner + "(...))' converts " +
-                 conv.from + "->" + conv.to + " right after " + ic.from +
-                 "->" + ic.to + "; the round trip is an identity",
-             "drop both conversion calls and use the inner argument "
-             "directly"});
-        continue;
-      }
-    }
-    const std::string arg_unit = infer_unit(toks, ab, ae);
-    if (arg_unit.empty()) continue;
-    if (arg_unit == conv.to) {
-      out.push_back(
-          {ctx.display_path, toks[i].line, "unit-double-conversion",
-           "argument of '" + toks[i].text + "' already carries the target "
-               "unit '" + conv.to + "'; converting it again scales the "
-               "value twice",
-           "drop the " + toks[i].text + "(...) wrapper"});
-    } else if (arg_unit != conv.from) {
-      Finding f{ctx.display_path, toks[i].line, "unit-mismatch-call",
-                "'" + toks[i].text + "' expects a value in '" + conv.from +
-                    "' but the argument carries '" + arg_unit + "'",
-                {}};
-      const std::string helper = conversion_between(arg_unit, conv.from);
-      if (!helper.empty()) {
-        f.fixit = "convert the argument first: wild5g::" + helper + "(...)";
-      }
-      out.push_back(std::move(f));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-file function-signature index: declarations whose parameters carry
-// unit suffixes, keyed by (name, arity). Call sites anywhere in the scanned
-// tree are then checked argument-by-argument against the declared units.
-// Identification is deliberately conservative — a candidate must look like a
-// declaration from three independent angles (token before the name, token
-// after the parameter list, and every parameter chunk declaration-shaped) —
-// because indexing a *call* as a signature would invert the check.
-
-struct Signature {
-  std::vector<std::string> units;  // one per parameter; "" = no unit
-  std::vector<std::string> names;  // parameter names ("" when unnamed)
-  bool poisoned = false;           // conflicting declarations share name+arity
-};
-
-// name -> arity -> signature
-using SignatureIndex = std::map<std::string, std::map<int, Signature>>;
+// Declaration-shape helpers shared by the scans below: telling a function
+// declaration or definition apart from a call or a constructor-initialized
+// variable without a parser.
 
 const std::set<std::string>& non_type_keywords() {
   static const std::set<std::string> kWords = {
@@ -1213,13 +892,12 @@ const std::set<std::string>& non_type_keywords() {
 /// `type name`, `const type& name`, `std::vector<double> name`, `type` (no
 /// name), or `...`; anything with arithmetic, strings, or numbers outside
 /// template arguments disqualifies the whole candidate. On success reports
-/// the parameter name ("" for type-only chunks — which therefore contribute
-/// no unit, so a call like `f(x)` can never be indexed as a signature).
+/// the parameter name ("" for type-only chunks, so a call like `f(x)` never
+/// yields a parameter name).
 bool decl_chunk(const std::vector<Token>& toks, std::size_t b, std::size_t e,
-                std::string* name, std::string* unit) {
+                std::string* name) {
   name->clear();
-  unit->clear();
-  // Cut a default-argument tail; its value is checked by unit-mismatch-assign.
+  // Cut a default-argument tail; only the declaration part is shaped.
   int angle = 0;
   std::size_t stop = e;
   for (std::size_t j = b; j < e; ++j) {
@@ -1277,7 +955,6 @@ bool decl_chunk(const std::vector<Token>& toks, std::size_t b, std::size_t e,
   if (count >= 2 && !last.empty() &&
       non_type_keywords().count(last) == 0) {
     *name = last;
-    *unit = unit_of(last);
   }
   return true;
 }
@@ -1305,121 +982,6 @@ std::vector<std::pair<std::size_t, std::size_t>> split_args(
   }
   chunks.emplace_back(start, e);
   return chunks;
-}
-
-/// Scans a file for function declarations/definitions with >= 1 unit-suffixed
-/// parameter and merges them into the index. Records the token index of each
-/// signature name in decl_sites so the call check can skip the declaration
-/// itself. The units.h conversion helpers are excluded — they get a dedicated
-/// check with tighter semantics (double-conversion detection).
-void collect_signatures(const std::vector<Token>& toks, SignatureIndex& index,
-                        std::set<std::size_t>& decl_sites) {
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::string& name = toks[i].text;
-    if (non_type_keywords().count(name) != 0 ||
-        conversions().count(name) != 0) {
-      continue;
-    }
-    // Angle 1: the token before the name must be able to end a return type.
-    // std::-qualified names are always library calls, never tree signatures.
-    const Token& prev = toks[i - 1];
-    const bool prev_ok =
-        (prev.kind == Token::Kind::kIdent &&
-         non_type_keywords().count(prev.text) == 0) ||
-        (prev.kind == Token::Kind::kPunct &&
-         (prev.text == "&" || prev.text == "*" || prev.text == ">" ||
-          prev.text == "::"));
-    if (!prev_ok) continue;
-    if (prev.text == "::" && i >= 2 && toks[i - 2].text == "std") continue;
-    const std::size_t close = find_match(toks, i + 1, "(", ")", toks.size());
-    if (close == kNpos) continue;
-    // Angle 2: the token after the parameter list must be declaration
-    // punctuation, not an operator continuing an expression.
-    if (close + 1 >= toks.size()) continue;
-    const std::string& after = toks[close + 1].text;
-    if (after != ";" && after != "{" && after != "const" &&
-        after != "noexcept" && after != "override" && after != "final" &&
-        after != "->" && after != "=") {
-      continue;
-    }
-    // Angle 3: every parameter chunk must be declaration-shaped.
-    Signature sig;
-    bool shaped = true;
-    bool any_unit = false;
-    if (close > i + 2) {
-      for (const auto& [cb, ce] : split_args(toks, i + 2, close)) {
-        std::string pname;
-        std::string punit;
-        if (cb >= ce || !decl_chunk(toks, cb, ce, &pname, &punit)) {
-          shaped = false;
-          break;
-        }
-        sig.names.push_back(pname);
-        sig.units.push_back(punit);
-        any_unit = any_unit || !punit.empty();
-      }
-    }
-    if (!shaped) continue;
-    decl_sites.insert(i);
-    if (!any_unit) continue;  // nothing to enforce; keep index small
-    const int arity = static_cast<int>(sig.units.size());
-    auto& slot = index[name];
-    const auto it = slot.find(arity);
-    if (it == slot.end()) {
-      slot.emplace(arity, std::move(sig));
-    } else if (it->second.units != sig.units) {
-      it->second.poisoned = true;  // ambiguous overload set: stand down
-    }
-  }
-}
-
-/// unit-mismatch-call: arguments at every call site are checked against the
-/// indexed parameter units. Only exact (name, arity) matches are enforced,
-/// poisoned entries and declaration sites are skipped, and an argument only
-/// counts when its own unit resolves.
-void check_unit_calls(const std::vector<Token>& toks, const FileContext& ctx,
-                      const SignatureIndex& index,
-                      const std::set<std::size_t>& decl_sites,
-                      std::vector<Finding>& out) {
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "(" ||
-        decl_sites.count(i) != 0) {
-      continue;
-    }
-    const auto slot = index.find(toks[i].text);
-    if (slot == index.end()) continue;
-    const std::size_t close = find_match(toks, i + 1, "(", ")", toks.size());
-    if (close == kNpos) continue;
-    const auto chunks =
-        close > i + 2
-            ? split_args(toks, i + 2, close)
-            : std::vector<std::pair<std::size_t, std::size_t>>{};
-    const auto sig_it = slot->second.find(static_cast<int>(chunks.size()));
-    if (sig_it == slot->second.end() || sig_it->second.poisoned) continue;
-    const Signature& sig = sig_it->second;
-    for (std::size_t k = 0; k < chunks.size(); ++k) {
-      if (sig.units[k].empty()) continue;
-      const std::string arg_unit =
-          infer_unit(toks, chunks[k].first, chunks[k].second);
-      if (arg_unit.empty() || arg_unit == sig.units[k]) continue;
-      Finding f{ctx.display_path, toks[i].line, "unit-mismatch-call",
-                "argument " + std::to_string(k + 1) + " of '" + toks[i].text +
-                    "' carries '" + arg_unit + "' but parameter '" +
-                    sig.names[k] + "' expects '" + sig.units[k] + "'",
-                {}};
-      const std::string helper = conversion_between(arg_unit, sig.units[k]);
-      if (!helper.empty()) {
-        f.fixit = "wrap the argument in wild5g::" + helper + "(...)";
-      } else {
-        f.message += "; no units.h helper converts " + arg_unit + " to " +
-                     sig.units[k] + " — this looks like a dimensional error";
-      }
-      out.push_back(std::move(f));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1593,45 +1155,15 @@ void check_parallel_rng(const std::vector<Token>& toks, const FileContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Effect inference (the interprocedural layer behind the `effects` family).
-//
-// The parallel rules above only see draws *lexically inside* a task lambda; a
-// task that calls a helper which mutates a file-static accumulator, or draws
-// from a member Rng three frames down, passed clean. This section closes that
-// hole: every function definition in the scanned set gets a conservative
-// effect signature over a small powerset lattice, effects propagate bottom-up
-// over the call graph to a fixpoint (cycles iterate until stable; the lattice
-// is finite so termination is structural), and three rule families consume
-// the database:
-//   parallel-effect-*     a task body reaching shared-state writes, foreign
-//                         Rng draws, shared-capture mutation, or a poisoned
-//                         callee through any call chain — the chain itself is
-//                         printed as the fix-it context.
-//   global-mutable-state  the inventory those rules (and the coming multi-UE
-//                         scheduler refactor) work from: every non-const
-//                         namespace-scope or static-local variable in src/
-//                         must be const, thread-confined (thread_local / sync
-//                         primitives), or justified via allow. A justified
-//                         declaration is treated as audited and drops out of
-//                         the writes_global tracking set, so sanctioned state
-//                         (e.g. the parallel.cpp pool singleton) does not
-//                         poison every caller.
+// Shared-state scans. Two per-file checks over declarations and function
+// bodies:
+//   global-mutable-state  the inventory of shared mutable state: every
+//                         non-const namespace-scope or static-local variable
+//                         in src/ must be const, thread-confined
+//                         (thread_local / sync primitives), or justified via
+//                         allow. Whether a parallel task actually reaches it
+//                         is left to the runtime thread-count and TSan gates.
 //   arena-escape          arena-backed pointers stored past handler scope.
-
-// Effect lattice bits. draws_rng splits in two because the sanctioned idiom —
-// pass the helper a task-local fork(i) child — is only distinguishable from
-// the racy one by *where the stream came from*: a draw on a parameter is
-// conditional on the call site's argument, a draw on member/global state is
-// unconditional.
-enum : unsigned {
-  kEffWritesGlobal = 1u << 0,   // assigns namespace-scope/static-local state
-  kEffMutatesParam = 1u << 1,   // writes through a non-const ref/ptr param
-  kEffDrawsRngState = 1u << 2,  // draws on a member/global/non-local stream
-  kEffDrawsRngParam = 1u << 3,  // draws on a caller-supplied stream param
-  kEffAllocates = 1u << 4,      // new/malloc outside core/arena.h
-  kEffSchedules = 1u << 5,      // Simulator::schedule_at/_in, Injector::arm
-  kEffUnknown = 1u << 6,        // poisoned: conflicting same-name defs
-};
 
 /// std sync primitives whose namespace-scope instances are coordination, not
 /// observable state: a mutex cannot leak scheduling order into metrics.
@@ -1649,7 +1181,6 @@ struct GlobalDecl {
   std::string name;
   int line = 0;
   bool static_local = false;  // function-local static vs namespace scope
-  bool audited = false;       // declaration carries a justified allow()
 };
 
 /// Collects mutable (non-const, non-thread-confined) namespace-scope and
@@ -1735,8 +1266,7 @@ void collect_globals(const std::vector<Token>& toks,
       if (close != kNpos && close > paren + 1) {
         for (const auto& [cb, ce] : split_args(toks, paren + 1, close)) {
           std::string pname;
-          std::string punit;
-          if (cb >= ce || !decl_chunk(toks, cb, ce, &pname, &punit)) {
+          if (cb >= ce || !decl_chunk(toks, cb, ce, &pname)) {
             all_decl_shaped = false;
             break;
           }
@@ -1762,7 +1292,7 @@ void collect_globals(const std::vector<Token>& toks,
     if (kNotADecl.count(name) != 0 || non_type_keywords().count(name) != 0) {
       return;
     }
-    out.push_back({name, toks[name_idx].line, static_local, false});
+    out.push_back({name, toks[name_idx].line, static_local});
   };
 
   std::size_t stmt = 0;
@@ -1858,20 +1388,11 @@ void collect_globals(const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// Function-definition index with effect signatures.
+// Function definitions: body ranges and locals for arena-escape and the
+// checkpoint/restore pairing.
 
-/// Draw methods of wild5g::Rng that advance stream state (fork() is const
-/// and seed-derived, so it is deliberately absent — calling it anywhere is
-/// the sanctioned idiom).
-const std::set<std::string>& rng_draw_methods() {
-  static const std::set<std::string> kDraws = {
-      "uniform",   "uniform_int", "normal", "lognormal", "exponential",
-      "bernoulli", "pick",        "shuffle", "split"};
-  return kDraws;
-}
-
-/// Container/member operations that mutate their receiver; used to spot
-/// writes through reference parameters and into global containers.
+/// Container/member operations that mutate their receiver; arena-escape
+/// uses them to spot a pointer stored into a long-lived container.
 const std::set<std::string>& mutating_methods() {
   static const std::set<std::string> kMut = {
       "push_back", "emplace_back", "insert", "emplace", "erase",
@@ -1880,69 +1401,14 @@ const std::set<std::string>& mutating_methods() {
   return kMut;
 }
 
-// Receiver classification at a call site, relative to the calling scope.
-enum : int {
-  kRecvNone = 0,   // free function call
-  kRecvLocal = 1,  // receiver declared in the calling scope
-  kRecvParam = 2,  // receiver is a parameter of the enclosing function
-  kRecvOuter = 3,  // member, global, or captured object
-};
-
-// Classification of one call argument relative to the calling scope. The
-// engine is parameter-position-aware: a callee that draws from parameter 3
-// only taints call sites whose *third* argument is a shared stream — a
-// captured config object in another slot is irrelevant.
-enum : int {
-  kArgComplex = 0,  // any expression that is not a bare (possibly &) name
-  kArgLocal = 1,    // declared in the calling scope
-  kArgParam = 2,    // a parameter of the enclosing function
-  kArgOuter = 3,    // captured / member / file-scope name
-  kArgGlobal = 4,   // ... and a tracked mutable global
-};
-
-struct EffCallArg {
-  int cls = kArgComplex;
-  std::string name;    // the bare identifier, when cls != kArgComplex
-  int param_pos = -1;  // caller parameter index, when cls == kArgParam
-};
-
-struct EffCallSite {
-  std::string callee;
-  int argc = 0;
-  int line = 0;
-  int recv = kRecvNone;
-  int recv_param_pos = -1;  // caller parameter index when recv == kRecvParam
-  std::vector<EffCallArg> args;
-};
-
 struct FuncDef {
   std::string name;
-  std::string file;
   int line = 0;
   std::size_t body_open = 0;
   std::size_t body_close = 0;
   int arity = 0;
-  std::size_t name_tok = 0;  // token index of the name (for Cls:: lookback)
-  unsigned direct = 0;   // effects of this body alone
-  unsigned effects = 0;  // after bottom-up propagation
-  std::vector<EffCallSite> calls;
-  std::set<std::string> params;
-  std::map<std::string, int> param_pos;  // name -> declaration position
-  std::set<std::string> mutable_ref_params;
+  std::size_t name_tok = 0;  // token index of the name (definition order)
   std::set<std::string> locals;  // params + body-declared names
-  // Positional effect detail backing the MutatesParam / DrawsRngParam bits:
-  // which parameter slots are written through / drawn from (directly or
-  // through callees). Grow-only, so the fixpoint stays monotone.
-  std::set<int> mutated_params;
-  std::set<int> rng_params;
-  // Chain reconstruction: how each effect bit got here — either a direct
-  // witness in this body, or the callee (and its bit) it was inherited from.
-  struct Witness {
-    const FuncDef* via = nullptr;
-    unsigned via_bit = 0;
-    std::string direct_text;
-  };
-  std::map<unsigned, Witness> witness;
 };
 
 /// Names declared inside a block [open, close): `Type name =|(|{|;|:` after
@@ -1973,10 +1439,9 @@ std::set<std::string> collect_block_locals(const std::vector<Token>& toks,
 }
 
 /// Function definitions: `name(params) [const|noexcept|...]* [-> type] {`.
-/// The same triple gating as the signature index (declaration-shaped
-/// parameters, plausible return-type context) keeps call sites out.
+/// Declaration-shaped parameters and a plausible return-type context before
+/// the name keep call sites out.
 void collect_function_defs(const std::vector<Token>& toks,
-                           const FileContext& ctx,
                            std::vector<FuncDef>& out) {
   for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
     if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "(") {
@@ -1997,32 +1462,17 @@ void collect_function_defs(const std::vector<Token>& toks,
     if (close == kNpos || close + 1 >= toks.size()) continue;
 
     FuncDef def;
+    std::set<std::string> params;
     bool shaped = true;
     if (close > i + 2) {
       for (const auto& [cb, ce] : split_args(toks, i + 2, close)) {
         std::string pname;
-        std::string punit;
-        if (cb >= ce || !decl_chunk(toks, cb, ce, &pname, &punit)) {
+        if (cb >= ce || !decl_chunk(toks, cb, ce, &pname)) {
           shaped = false;
           break;
         }
         ++def.arity;
-        if (pname.empty()) continue;
-        def.params.insert(pname);
-        def.param_pos[pname] = def.arity - 1;
-        bool by_ref = false;
-        bool is_const = false;
-        for (std::size_t j = cb; j < ce; ++j) {
-          if (toks[j].kind == Token::Kind::kPunct &&
-              (toks[j].text == "&" || toks[j].text == "*" ||
-               toks[j].text == "&&")) {
-            by_ref = true;
-          }
-          if (toks[j].kind == Token::Kind::kIdent && toks[j].text == "const") {
-            is_const = true;
-          }
-        }
-        if (by_ref && !is_const) def.mutable_ref_params.insert(pname);
+        if (!pname.empty()) params.insert(pname);
       }
     }
     if (!shaped) continue;
@@ -2045,389 +1495,19 @@ void collect_function_defs(const std::vector<Token>& toks,
     if (def.body_close == kNpos) continue;
     def.name = name;
     def.name_tok = i;
-    def.file = ctx.display_path;
     def.line = toks[i].line;
     def.locals = collect_block_locals(toks, def.body_open, def.body_close);
-    def.locals.insert(def.params.begin(), def.params.end());
+    def.locals.insert(params.begin(), params.end());
     out.push_back(std::move(def));
   }
 }
 
-/// Direct (intraprocedural) effects of one body, plus its call sites.
-void compute_direct_effects(const std::vector<Token>& toks,
-                            const FileContext& ctx, bool arena_owner,
-                            const std::set<std::string>& mutable_globals,
-                            FuncDef& def) {
-  static const std::set<std::string> kAllocCalls = {"malloc", "calloc",
-                                                    "realloc", "free"};
-  static const std::set<std::string> kScheduleCalls = {"schedule_at",
-                                                       "schedule_in", "arm"};
-  static const std::set<std::string> kAssignOps = {"=", "+=", "-=", "*=",
-                                                   "/="};
-  const auto classify = [&](const std::string& ident) {
-    if (def.params.count(ident) != 0) return kRecvParam;
-    if (def.locals.count(ident) != 0) return kRecvLocal;
-    return kRecvOuter;
-  };
-  const auto note_direct = [&](unsigned bit, std::string why) {
-    def.direct |= bit;
-    if (def.witness.count(bit) == 0) {
-      def.witness[bit] = {nullptr, 0, std::move(why)};
-    }
-  };
-  const auto loc = [&](int line) {
-    return ctx.display_path + ":" + std::to_string(line);
-  };
-
-  for (std::size_t k = def.body_open + 1; k < def.body_close; ++k) {
-    const Token& t = toks[k];
-    if (t.kind != Token::Kind::kIdent) continue;
-    const std::string& id = t.text;
-    const bool member_ctx =
-        k > 0 && (toks[k - 1].text == "." || toks[k - 1].text == "->");
-
-    if (id == "new" && !arena_owner) {
-      note_direct(kEffAllocates, "allocates with 'new' at " + loc(t.line));
-      continue;
-    }
-    if (kAllocCalls.count(id) != 0 && next_is(toks, k, "(") &&
-        free_call_context(toks, k) && !arena_owner) {
-      note_direct(kEffAllocates, "calls '" + id + "' at " + loc(t.line));
-      continue;
-    }
-    if (kScheduleCalls.count(id) != 0 && next_is(toks, k, "(")) {
-      note_direct(kEffSchedules,
-                  "schedules via '" + id + "' at " + loc(t.line));
-      continue;
-    }
-
-    // Draw on an Rng-like receiver: `recv.uniform(...)`.
-    if (!member_ctx && k + 3 < def.body_close &&
-        (toks[k + 1].text == "." || toks[k + 1].text == "->") &&
-        toks[k + 2].kind == Token::Kind::kIdent &&
-        rng_draw_methods().count(toks[k + 2].text) != 0 &&
-        toks[k + 3].text == "(") {
-      const int cls = classify(id);
-      const std::string why = "draws via '" + id + "." + toks[k + 2].text +
-                              "(...)' at " + loc(t.line);
-      if (cls == kRecvParam) {
-        note_direct(kEffDrawsRngParam, why);
-        const auto pos = def.param_pos.find(id);
-        if (pos != def.param_pos.end()) def.rng_params.insert(pos->second);
-      } else if (cls != kRecvLocal) {
-        note_direct(kEffDrawsRngState, why);
-      }
-      continue;
-    }
-
-    // Mutation patterns after an identifier: assignment operators,
-    // increment/decrement, mutating member calls, member-field assignment,
-    // subscript assignment.
-    if (!member_ctx && k + 1 < def.body_close) {
-      bool mutated = false;
-      const std::string& nxt = toks[k + 1].text;
-      if (toks[k + 1].kind == Token::Kind::kPunct) {
-        if (kAssignOps.count(nxt) != 0) mutated = true;
-        if ((nxt == "+" && k + 2 < def.body_close &&
-             toks[k + 2].text == "+") ||
-            (nxt == "-" && k + 2 < def.body_close &&
-             toks[k + 2].text == "-")) {
-          mutated = true;  // postfix ++/--
-        }
-        if ((nxt == "." || nxt == "->") && k + 3 < def.body_close &&
-            toks[k + 2].kind == Token::Kind::kIdent) {
-          if (mutating_methods().count(toks[k + 2].text) != 0 &&
-              toks[k + 3].text == "(") {
-            mutated = true;
-          } else if (toks[k + 3].kind == Token::Kind::kPunct &&
-                     kAssignOps.count(toks[k + 3].text) != 0) {
-            mutated = true;  // recv.field = ...
-          }
-        }
-        if (nxt == "[") {
-          const std::size_t rb =
-              find_match(toks, k + 1, "[", "]", def.body_close);
-          if (rb != kNpos && rb + 1 < def.body_close &&
-              toks[rb + 1].kind == Token::Kind::kPunct &&
-              kAssignOps.count(toks[rb + 1].text) != 0) {
-            mutated = true;
-          }
-        }
-      }
-      const bool prefix_incr =
-          k >= 2 && toks[k - 1].kind == Token::Kind::kPunct &&
-          toks[k - 2].kind == Token::Kind::kPunct &&
-          ((toks[k - 1].text == "+" && toks[k - 2].text == "+") ||
-           (toks[k - 1].text == "-" && toks[k - 2].text == "-"));
-      if (mutated || prefix_incr) {
-        if (def.mutable_ref_params.count(id) != 0) {
-          note_direct(kEffMutatesParam, "mutates parameter '" + id +
-                                            "' at " + loc(t.line));
-          const auto pos = def.param_pos.find(id);
-          if (pos != def.param_pos.end()) {
-            def.mutated_params.insert(pos->second);
-          }
-        } else if (def.locals.count(id) == 0 &&
-                   mutable_globals.count(id) != 0) {
-          note_direct(kEffWritesGlobal,
-                      "writes '" + id + "' at " + loc(t.line));
-        }
-      }
-    }
-
-    // Call site (free or member), for bottom-up propagation.
-    if (next_is(toks, k, "(") && non_type_keywords().count(id) == 0 &&
-        kAllocCalls.count(id) == 0 && kScheduleCalls.count(id) == 0) {
-      if (member_ctx && rng_draw_methods().count(id) != 0) continue;
-      if (k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std") {
-        continue;  // std:: calls cannot touch wild5g state
-      }
-      EffCallSite site;
-      site.callee = id;
-      site.line = t.line;
-      if (member_ctx) {
-        site.recv = kRecvOuter;
-        if (k >= 2 && toks[k - 2].kind == Token::Kind::kIdent) {
-          site.recv = classify(toks[k - 2].text);
-          if (site.recv == kRecvNone) site.recv = kRecvOuter;
-          if (site.recv == kRecvParam) {
-            const auto pos = def.param_pos.find(toks[k - 2].text);
-            if (pos != def.param_pos.end()) site.recv_param_pos = pos->second;
-          }
-        }
-      }
-      const std::size_t close =
-          find_match(toks, k + 1, "(", ")", def.body_close + 1);
-      if (close != kNpos && close > k + 2) {
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].kind == Token::Kind::kPunct &&
-              toks[b].text == "&") {
-            ++b;
-          }
-          EffCallArg arg;
-          if (ae == b + 1 && toks[b].kind == Token::Kind::kIdent) {
-            arg.name = toks[b].text;
-            if (def.params.count(arg.name) != 0) {
-              arg.cls = kArgParam;
-              const auto pos = def.param_pos.find(arg.name);
-              if (pos != def.param_pos.end()) arg.param_pos = pos->second;
-            } else if (def.locals.count(arg.name) != 0) {
-              arg.cls = kArgLocal;
-            } else if (mutable_globals.count(arg.name) != 0) {
-              arg.cls = kArgGlobal;
-            } else {
-              arg.cls = kArgOuter;
-            }
-          }
-          site.args.push_back(std::move(arg));
-        }
-        site.argc = static_cast<int>(site.args.size());
-      }
-      def.calls.push_back(std::move(site));
-    }
-  }
-  def.effects = def.direct;
-}
-
-// name -> arity -> definitions. Same-name-same-arity definitions with
-// conflicting *direct* effect masks poison resolution with kEffUnknown: the
-// engine cannot tell which one a call binds to, so it refuses to claim
-// specific effects and demands an audit instead.
-using FuncIndex = std::map<std::string, std::map<int, std::vector<FuncDef*>>>;
-
-std::vector<FuncDef*> resolve_callee(const FuncIndex& index,
-                                     const std::string& name, int argc) {
-  const auto slot = index.find(name);
-  if (slot == index.end()) return {};
-  const auto exact = slot->second.find(argc);
-  if (exact != slot->second.end()) return exact->second;
-  std::vector<FuncDef*> all;  // arity mismatch (default args): merge all
-  for (const auto& [arity, defs] : slot->second) {
-    (void)arity;
-    all.insert(all.end(), defs.begin(), defs.end());
-  }
-  return all;
-}
-
-/// True when an exact-arity overload set disagrees on direct effect masks —
-/// the engine cannot tell which definition a call binds to, so resolution
-/// is poisoned with kEffUnknown instead of guessing a union.
-bool conflicting(const std::vector<FuncDef*>& defs, bool exact) {
-  if (!exact) return false;
-  for (const FuncDef* d : defs) {
-    if (d->direct != defs.front()->direct) return true;
-  }
-  return false;
-}
-
-unsigned union_effects(const std::vector<FuncDef*>& defs) {
-  unsigned merged = 0;
-  for (const FuncDef* d : defs) merged |= d->effects;
-  return merged;
-}
-
-std::set<int> rng_positions(const std::vector<FuncDef*>& defs) {
-  std::set<int> out;
-  for (const FuncDef* d : defs) {
-    out.insert(d->rng_params.begin(), d->rng_params.end());
-  }
-  return out;
-}
-
-std::set<int> mutated_positions(const std::vector<FuncDef*>& defs) {
-  std::set<int> out;
-  for (const FuncDef* d : defs) {
-    out.insert(d->mutated_params.begin(), d->mutated_params.end());
-  }
-  return out;
-}
-
-const FuncDef* witness_for(const std::vector<FuncDef*>& defs, unsigned bit) {
-  for (const FuncDef* d : defs) {
-    if ((d->effects & bit) != 0) return d;
-  }
-  return defs.front();
-}
-
-/// Bottom-up propagation to a fixpoint. Effect bits and the positional
-/// mutated/rng sets only ever grow over finite domains, so the loop
-/// terminates — mutual recursion simply iterates until the cycle stabilizes.
-/// Inheritance through a site is receiver- and position-conditioned (the
-/// sanctioned idiom inherits nothing):
-///   writes_global / allocates / schedules / unknown  pass through verbatim
-///   draws_rng (state)   recv local -> dropped; recv param -> caller's
-///                       receiver slot becomes an rng param; else kept
-///   draws_rng_param[j]  arg j local/complex -> dropped; arg j param p ->
-///                       caller slot p becomes an rng param; arg j outer or
-///                       global -> a shared stream feeds the draw: state
-///   mutates_param[j]    arg j global -> writes_global; arg j param p ->
-///                       caller slot p becomes mutated; else dropped (the
-///                       task-site alias rule handles captured objects)
-void propagate_effects(std::vector<FuncDef*>& funcs, const FuncIndex& index) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (FuncDef* f : funcs) {
-      for (const EffCallSite& site : f->calls) {
-        const auto slot = index.find(site.callee);
-        if (slot == index.end()) continue;
-        const bool exact = slot->second.count(site.argc) != 0;
-        const std::vector<FuncDef*> defs =
-            resolve_callee(index, site.callee, site.argc);
-        if (defs.empty()) continue;
-
-        const auto note = [&](unsigned bit, const FuncDef* via,
-                              unsigned via_bit) {
-          if ((f->effects & bit) == 0) {
-            f->effects |= bit;
-            changed = true;
-          }
-          if (f->witness.count(bit) == 0) {
-            f->witness[bit] = {via, via_bit, ""};
-          }
-        };
-
-        if (conflicting(defs, exact)) {
-          if ((f->effects & kEffUnknown) == 0) {
-            f->effects |= kEffUnknown;
-            changed = true;
-            f->witness[kEffUnknown] = {
-                nullptr, 0,
-                "calls '" + site.callee + "', which has " +
-                    std::to_string(defs.size()) +
-                    " same-arity definitions with conflicting effects "
-                    "(first at " + defs.front()->file + ":" +
-                    std::to_string(defs.front()->line) + ")"};
-          }
-          continue;
-        }
-        const unsigned callee = union_effects(defs);
-
-        for (const unsigned bit : {kEffWritesGlobal, kEffAllocates,
-                                   kEffSchedules, kEffUnknown}) {
-          if ((callee & bit) != 0 && (f->effects & bit) == 0) {
-            note(bit, witness_for(defs, bit), bit);
-          }
-        }
-        if ((callee & kEffDrawsRngState) != 0) {
-          if (site.recv == kRecvParam) {
-            if (site.recv_param_pos >= 0 &&
-                f->rng_params.insert(site.recv_param_pos).second) {
-              changed = true;
-            }
-            note(kEffDrawsRngParam, witness_for(defs, kEffDrawsRngState),
-                 kEffDrawsRngState);
-          } else if (site.recv != kRecvLocal) {
-            note(kEffDrawsRngState, witness_for(defs, kEffDrawsRngState),
-                 kEffDrawsRngState);
-          }
-        }
-        for (const int j : rng_positions(defs)) {
-          if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-            continue;
-          }
-          const EffCallArg& arg = site.args[static_cast<std::size_t>(j)];
-          if (arg.cls == kArgOuter || arg.cls == kArgGlobal) {
-            note(kEffDrawsRngState, witness_for(defs, kEffDrawsRngParam),
-                 kEffDrawsRngParam);
-          } else if (arg.cls == kArgParam && arg.param_pos >= 0) {
-            if (f->rng_params.insert(arg.param_pos).second) changed = true;
-            note(kEffDrawsRngParam, witness_for(defs, kEffDrawsRngParam),
-                 kEffDrawsRngParam);
-          }
-        }
-        for (const int j : mutated_positions(defs)) {
-          if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-            continue;
-          }
-          const EffCallArg& arg = site.args[static_cast<std::size_t>(j)];
-          if (arg.cls == kArgGlobal) {
-            note(kEffWritesGlobal, witness_for(defs, kEffMutatesParam),
-                 kEffMutatesParam);
-          } else if (arg.cls == kArgParam && arg.param_pos >= 0) {
-            if (f->mutated_params.insert(arg.param_pos).second) {
-              changed = true;
-            }
-            note(kEffMutatesParam, witness_for(defs, kEffMutatesParam),
-                 kEffMutatesParam);
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Renders the offending call chain for an effect bit:
-/// `helper (file:12) -> bump (file:6) -> writes 'g_total' at file:3`.
-std::string effect_chain(const FuncDef* def, unsigned bit) {
-  std::string chain =
-      def->name + " (" + def->file + ":" + std::to_string(def->line) + ")";
-  std::set<const FuncDef*> seen;
-  const FuncDef* cur = def;
-  while (cur != nullptr && seen.insert(cur).second) {
-    const auto it = cur->witness.find(bit);
-    if (it == cur->witness.end()) break;
-    if (!it->second.direct_text.empty()) {
-      chain += " -> " + it->second.direct_text;
-      break;
-    }
-    const FuncDef* via = it->second.via;
-    if (via == nullptr) break;
-    chain += " -> " + via->name + " (" + via->file + ":" +
-             std::to_string(via->line) + ")";
-    bit = it->second.via_bit;
-    cur = via;
-  }
-  return chain;
-}
-
 // ---------------------------------------------------------------------------
-// Checks consuming the effect database.
+// Checks over the declaration and function scans.
 
 /// global-mutable-state: the inventory findings. Scoped to src/ virtual
-/// paths — bench/tools mains are single-threaded drivers whose file-level
-/// state cannot be reached from a task without tripping the parallel rules.
+/// paths — bench/tools mains are single-threaded drivers, and the figures'
+/// parallel regions are covered by the thread-count byte-identity tests.
 void check_global_state(const FileContext& ctx, const std::string& vpath,
                         const std::vector<GlobalDecl>& globals,
                         std::vector<Finding>& out) {
@@ -2442,225 +1522,6 @@ void check_global_state(const FileContext& ctx, const std::string& vpath,
          "reaching it through a call chain races",
          "const-qualify it, confine it with thread_local, or justify with "
          "// wild5g-lint: allow(global-mutable-state) <why>"});
-  }
-}
-
-/// A located parallel_map/parallel_for task lambda: the body token range
-/// plus every name that is task-local (lambda parameters and body
-/// declarations), mirroring check_parallel_rng's location logic.
-struct ParallelTask {
-  std::string_view entry;  // "parallel_map" or "parallel_for"
-  std::size_t body_open = 0;
-  std::size_t body_close = 0;
-  std::set<std::string> locals;
-};
-
-std::vector<ParallelTask> collect_parallel_tasks(
-    const std::vector<Token>& toks) {
-  std::vector<ParallelTask> tasks;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        (toks[i].text != "parallel_map" && toks[i].text != "parallel_for") ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::size_t call_close =
-        find_match(toks, i + 1, "(", ")", toks.size());
-    if (call_close == kNpos) continue;
-    std::size_t cap_open = kNpos;
-    for (std::size_t j = i + 2; j < call_close; ++j) {
-      if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "[") {
-        cap_open = j;
-        break;
-      }
-    }
-    if (cap_open == kNpos) continue;
-    const std::size_t cap_close =
-        find_match(toks, cap_open, "[", "]", call_close);
-    if (cap_close == kNpos) continue;
-    ParallelTask task;
-    task.entry = toks[i].text == "parallel_map" ? "parallel_map"
-                                                : "parallel_for";
-    std::size_t j = cap_close + 1;
-    if (j < call_close && toks[j].text == "(") {
-      const std::size_t params_close =
-          find_match(toks, j, "(", ")", call_close);
-      if (params_close == kNpos) continue;
-      for (std::size_t k = j + 1; k < params_close; ++k) {
-        if (toks[k].kind == Token::Kind::kIdent) {
-          task.locals.insert(toks[k].text);
-        }
-      }
-      j = params_close + 1;
-    }
-    while (j < call_close && toks[j].kind == Token::Kind::kIdent) {
-      ++j;  // mutable, noexcept
-    }
-    if (j >= call_close || toks[j].text != "{") continue;
-    task.body_open = j;
-    task.body_close = find_match(toks, j, "{", "}", call_close + 1);
-    if (task.body_close == kNpos) continue;
-    const std::set<std::string> body_locals =
-        collect_block_locals(toks, task.body_open, task.body_close);
-    task.locals.insert(body_locals.begin(), body_locals.end());
-    tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
-/// parallel-effect-{write,rng,alias,unknown}: every indexed call inside a
-/// task body is checked against the callee's propagated effects, mapped
-/// through the call site exactly like function-to-function inheritance.
-void check_parallel_effects(const std::vector<Token>& toks,
-                            const FileContext& ctx, const FuncIndex& index,
-                            const std::set<std::string>& mutable_globals,
-                            std::vector<Finding>& out) {
-  for (const ParallelTask& task : collect_parallel_tasks(toks)) {
-    for (std::size_t k = task.body_open + 1; k < task.body_close; ++k) {
-      if (toks[k].kind != Token::Kind::kIdent || !next_is(toks, k, "(")) {
-        continue;
-      }
-      const std::string& name = toks[k].text;
-      if (non_type_keywords().count(name) != 0) continue;
-      const bool member_ctx =
-          toks[k - 1].text == "." || toks[k - 1].text == "->";
-      if (member_ctx && rng_draw_methods().count(name) != 0) {
-        continue;  // parallel-rng-stream's domain
-      }
-      if (k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std") {
-        continue;
-      }
-      const auto slot = index.find(name);
-      if (slot == index.end()) continue;
-
-      EffCallSite site;
-      site.callee = name;
-      site.line = toks[k].line;
-      if (member_ctx) {
-        site.recv = kRecvOuter;
-        if (k >= 2 && toks[k - 2].kind == Token::Kind::kIdent &&
-            task.locals.count(toks[k - 2].text) != 0) {
-          site.recv = kRecvLocal;
-        }
-      }
-      const std::size_t close =
-          find_match(toks, k + 1, "(", ")", task.body_close + 1);
-      if (close == kNpos) continue;
-      if (close > k + 2) {
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].kind == Token::Kind::kPunct &&
-              toks[b].text == "&") {
-            ++b;
-          }
-          EffCallArg arg;
-          if (ae == b + 1 && toks[b].kind == Token::Kind::kIdent) {
-            const std::string& id = toks[b].text;
-            if (task.locals.count(id) != 0) {
-              arg.cls = kArgLocal;
-            } else if (mutable_globals.count(id) != 0) {
-              arg.cls = kArgGlobal;
-            } else {
-              arg.cls = kArgOuter;
-              arg.name = id;
-            }
-          }
-          site.args.push_back(std::move(arg));
-        }
-        site.argc = static_cast<int>(site.args.size());
-      }
-      const bool exact = slot->second.count(site.argc) != 0;
-      const std::vector<FuncDef*> defs =
-          resolve_callee(index, name, site.argc);
-      if (defs.empty()) continue;
-      const std::string entry(task.entry);
-      if (conflicting(defs, exact)) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-unknown",
-             entry + " task body calls '" + name + "', whose effects cannot "
-             "be resolved (" + std::to_string(defs.size()) + " same-arity "
-             "definitions with conflicting effect signatures); the engine "
-             "assumes the worst",
-             "rename the conflicting overloads apart, or justify with "
-             "// wild5g-lint: allow(parallel-effect-unknown) <why>"});
-        continue;
-      }
-      const unsigned callee = union_effects(defs);
-      const std::set<int> rng_pos = rng_positions(defs);
-      const std::set<int> mut_pos = mutated_positions(defs);
-      const auto arg_at = [&](int j) -> const EffCallArg* {
-        if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-          return nullptr;
-        }
-        return &site.args[static_cast<std::size_t>(j)];
-      };
-
-      bool write_bad = (callee & kEffWritesGlobal) != 0;
-      unsigned write_sb = kEffWritesGlobal;
-      bool rng_bad =
-          (callee & kEffDrawsRngState) != 0 && site.recv != kRecvLocal;
-      unsigned rng_sb = kEffDrawsRngState;
-      std::string alias_arg;
-      for (const int j : mut_pos) {
-        const EffCallArg* arg = arg_at(j);
-        if (arg == nullptr) continue;
-        if (arg->cls == kArgGlobal && !write_bad) {
-          write_bad = true;
-          write_sb = kEffMutatesParam;
-        } else if (arg->cls == kArgOuter && alias_arg.empty()) {
-          alias_arg = arg->name;
-        }
-      }
-      for (const int j : rng_pos) {
-        const EffCallArg* arg = arg_at(j);
-        if (arg == nullptr) continue;
-        if ((arg->cls == kArgOuter || arg->cls == kArgGlobal) && !rng_bad) {
-          rng_bad = true;
-          rng_sb = kEffDrawsRngParam;
-        }
-      }
-
-      if (write_bad) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-write",
-             entry + " task body calls '" + name + "', which transitively "
-             "writes shared mutable state; concurrent tasks race and break "
-             "byte-identical goldens: " +
-                 effect_chain(witness_for(defs, write_sb), write_sb),
-             "return a per-task value and reduce on the caller's thread, or "
-             "const-qualify the state"});
-      }
-      if (rng_bad) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-rng",
-             entry + " task body calls '" + name + "', which transitively "
-             "draws from an Rng stream that is not derived per task; draw "
-             "order depends on scheduling: " +
-                 effect_chain(witness_for(defs, rng_sb), rng_sb),
-             "pass the helper a task-local child stream (auto child = "
-             "base.fork(i);) instead of shared state"});
-      }
-      if (!alias_arg.empty()) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-alias",
-             entry + " task body passes captured '" + alias_arg + "' to '" +
-                 name + "', which mutates a reference parameter; every task "
-                 "aliases the same object: " +
-                 effect_chain(witness_for(defs, kEffMutatesParam),
-                              kEffMutatesParam),
-             "accumulate into a task-local value and merge after the "
-             "parallel region"});
-      }
-      if ((callee & kEffUnknown) != 0) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-unknown",
-             entry + " task body calls '" + name + "', whose transitive "
-             "effects cannot be resolved; the engine assumes the worst: " +
-                 effect_chain(witness_for(defs, kEffUnknown), kEffUnknown),
-             "rename the conflicting overloads apart, or justify with "
-             "// wild5g-lint: allow(parallel-effect-unknown) <why>"});
-      }
-    }
   }
 }
 
@@ -2869,10 +1730,10 @@ std::string src_module_of(const std::string& vpath) {
 
 // ---------------------------------------------------------------------------
 // Driver: two passes over the tree. Pass 1 loads and lexes every file and
-// gathers per-file facts (includes, Rng names, signatures). Pass 2 runs the
-// per-file checks against the global signature index, then the include graph
-// is checked for layering violations and cycles, and finally suppression
-// directives are applied per file.
+// gathers per-file facts (includes, Rng names, mutable globals). Pass 2 runs
+// the per-file checks, then the include graph is checked for layering
+// violations and cycles, and finally suppression directives are applied per
+// file.
 
 struct FileUnit {
   fs::path path;
@@ -2886,10 +1747,9 @@ struct FileUnit {
   std::string src_module;     // "core", "radio", ... ("" outside src/)
   std::vector<IncludeRef> includes;
   std::set<std::string> rng_vars;
-  std::set<std::size_t> decl_sites;
   std::vector<std::string> lines;    // raw physical lines, for fingerprints
   std::vector<GlobalDecl> globals;   // mutable global/static inventory
-  std::vector<FuncDef> funcs;        // effect-inference database
+  std::vector<FuncDef> funcs;        // function definitions (per run)
   bool io_error = false;
 };
 
@@ -2989,8 +1849,8 @@ std::string fingerprint_of(const FileUnit& unit, const Finding& f) {
 // ---------------------------------------------------------------------------
 // checkpoint-restore-symmetry: every state key a checkpoint_state() body
 // serializes must be read by the paired restore_state() in the same file,
-// and vice versa. Pairs are matched in definition order; the check reads the
-// function database the effect engine already collected (unit.funcs).
+// and vice versa. Pairs are matched in definition order over the function
+// definitions collected for this file (unit.funcs).
 
 void check_checkpoint_symmetry(FileUnit& unit) {
   const auto& toks = unit.lexed.tokens;
@@ -3184,58 +2044,27 @@ void check_cycles(std::vector<FileUnit>& units) {
 }
 
 std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
-  SignatureIndex index;
-  for (auto& unit : units) {
-    collect_signatures(unit.lexed.tokens, index, unit.decl_sites);
-  }
-
-  // Effect phase 0: the tracked writes_global set. A declaration whose
-  // global-mutable-state finding carries a justified allow() is audited,
-  // sanctioned state (e.g. the parallel.cpp pool singletons, confined by
-  // g_pool_mutex) and stays out of the set, so it does not poison every
-  // caller's writes_global chain.
+  // The tracked mutable-global set arena-escape names in its messages. A
+  // declaration whose global-mutable-state finding carries a justified
+  // allow() is audited, sanctioned state (e.g. the parallel.cpp pool
+  // singletons, confined by g_pool_mutex) and stays out of the set.
   std::set<std::string> mutable_globals;
-  for (auto& unit : units) {
-    for (auto& g : unit.globals) {
+  for (const auto& unit : units) {
+    for (const auto& g : unit.globals) {
       Finding probe;
       probe.file = unit.ctx.display_path;
       probe.line = g.line;
       probe.rule = "global-mutable-state";
-      g.audited = suppressed(unit.allows, unit.token_lines, probe);
-      if (!g.audited) mutable_globals.insert(g.name);
+      if (!suppressed(unit.allows, unit.token_lines, probe)) {
+        mutable_globals.insert(g.name);
+      }
     }
   }
-
-  // Phase A: the function database. Pointers into unit.funcs are stable
-  // from here on — nothing appends to the vectors after collection.
-  FuncIndex findex;
-  std::vector<FuncDef*> all_funcs;
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    collect_function_defs(unit.lexed.tokens, unit.ctx, unit.funcs);
-  }
-  for (auto& unit : units) {
-    for (auto& def : unit.funcs) {
-      findex[def.name][def.arity].push_back(&def);
-      all_funcs.push_back(&def);
-    }
-  }
-
-  // Phase B: per-body direct effects, then the bottom-up call-graph
-  // fixpoint.
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    const bool arena_owner = unit.vpath == "src/core/arena.h";
-    for (auto& def : unit.funcs) {
-      compute_direct_effects(unit.lexed.tokens, unit.ctx, arena_owner,
-                             mutable_globals, def);
-    }
-  }
-  propagate_effects(all_funcs, findex);
 
   for (auto& unit : units) {
     if (unit.io_error) continue;
     const auto& toks = unit.lexed.tokens;
+    collect_function_defs(toks, unit.funcs);
     check_banned_idents(toks, unit.ctx, unit.raw);
     check_float_equality(toks, unit.ctx, unit.raw);
     check_printf_float(toks, unit.ctx, unit.raw);
@@ -3243,13 +2072,8 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
     check_sample_hoard(toks, unit.ctx, unit.raw);
     check_engine_blocking(toks, unit.ctx, unit.vpath, unit.raw);
     check_unordered_iteration(toks, unit.ctx, unit.raw);
-    check_unit_assign(toks, unit.ctx, unit.raw);
-    check_unit_conversion_calls(toks, unit.ctx, unit.raw);
-    check_unit_calls(toks, unit.ctx, index, unit.decl_sites, unit.raw);
     check_parallel_rng(toks, unit.ctx, unit.rng_vars, unit.raw);
     check_global_state(unit.ctx, unit.vpath, unit.globals, unit.raw);
-    check_parallel_effects(toks, unit.ctx, findex, mutable_globals,
-                           unit.raw);
     check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs,
                        mutable_globals, unit.raw);
     check_checkpoint_symmetry(unit);
@@ -3325,7 +2149,6 @@ json::Value sarif_json(const std::vector<Finding>& findings) {
     entry.set("defaultConfiguration", std::move(config));
     json::Value props = json::Value::object();
     props.set("family", std::string(rule.family));
-    if (!rule.effects.empty()) props.set("effects", std::string(rule.effects));
     entry.set("properties", std::move(props));
     rules.push_back(std::move(entry));
   }
@@ -3388,7 +2211,6 @@ json::Value rules_json() {
     entry.set("family", std::string(rule.family));
     entry.set("summary", std::string(rule.summary));
     if (!rule.fixit.empty()) entry.set("fixit", std::string(rule.fixit));
-    if (!rule.effects.empty()) entry.set("effects", std::string(rule.effects));
     list.push_back(std::move(entry));
   }
   json::Value doc = json::Value::object();
@@ -3409,10 +2231,13 @@ std::string rules_doc_markdown() {
         "stale. -->\n\n";
   os << "# wild5g-lint rule reference\n\n";
   os << "wild5g-lint (tools/wild5g_lint.cpp) statically enforces the repo's "
-        "determinism,\nunit-hygiene, and layering contracts over `src/`, "
-        "`bench/`, `tools/`, and\n`examples/`. It exits 0 on a clean tree, 1 "
-        "when any finding survives\nsuppression, and 2 on usage or I/O "
-        "errors.\n\n";
+        "determinism\nand layering contracts over `src/`, `bench/`, `tools/`, "
+        "and `examples/`. It\nexits 0 on a clean tree, 1 when any finding "
+        "survives suppression, and 2 on\nusage or I/O errors. Its checks are "
+        "per file and lexical; a parallel task that\nreaches shared state "
+        "through a call chain is caught at runtime instead, by the\n"
+        "per-bench thread-count byte-identity tests and the TSan lane "
+        "(DESIGN.md §8).\n\n";
   os << "Suppress a finding with a justified directive comment on the same "
         "line or the\nline(s) directly above it:\n\n"
         "```cpp\n"
@@ -3426,27 +2251,12 @@ std::string rules_doc_markdown() {
         "baseline.\n";
   for (const auto& family : kFamilies) {
     os << "\n## " << family << "\n\n";
-    if (family == "effects") {
-      os << "These rules consume an interprocedural effect database: every "
-            "function\ndefinition gets a conservative signature over the "
-            "lattice `{writes_global,\nmutates_param, draws_rng, "
-            "draws_rng_param, allocates, schedules, unknown}`,\npropagated "
-            "bottom-up over the call graph to a fixpoint (call cycles "
-            "iterate\nuntil stable). Same-name same-arity definitions with "
-            "conflicting direct\neffects poison resolution with `unknown` "
-            "instead of guessing, so every\nsuppression stays auditable. "
-            "Findings print the offending call chain down\nto the concrete "
-            "write/draw as fix-it context.\n\n";
-    }
     os << "| rule | summary | fix-it |\n";
     os << "| --- | --- | --- |\n";
     for (const auto& rule : kRules) {
       if (rule.family != family) continue;
-      os << "| `" << rule.id << "` | " << rule.summary;
-      if (!rule.effects.empty()) {
-        os << " *(effect: `" << rule.effects << "`)*";
-      }
-      os << " | " << (rule.fixit.empty() ? std::string_view{"-"} : rule.fixit)
+      os << "| `" << rule.id << "` | " << rule.summary << " | "
+         << (rule.fixit.empty() ? std::string_view{"-"} : rule.fixit)
          << " |\n";
     }
   }
