@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <utility>
+
 namespace wild5g::sim {
 
 namespace {
@@ -16,16 +18,10 @@ constexpr EventId make_id(std::uint32_t generation, std::uint32_t slot) {
 
 }  // namespace
 
-Simulator::~Simulator() {
-  // Destroy payloads of never-fired events; the arena frees its chunks.
-  for (Slot& slot : slots_) {
-    if (slot.node != nullptr && slot.node->destroy != nullptr) {
-      slot.node->destroy(payload_of(slot.node));
-    }
-  }
-}
-
-EventId Simulator::enqueue(double at_ms, Node* node) {
+EventId Simulator::schedule_at(double at_ms, Handler handler) {
+  WILD5G_REQUIRE(at_ms >= now_ms_, "Simulator::schedule_at: time in the past");
+  WILD5G_REQUIRE(static_cast<bool>(handler),
+                 "Simulator::schedule_at: null handler");
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -35,40 +31,38 @@ EventId Simulator::enqueue(double at_ms, Node* node) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
-  slot.node = node;
+  slot.handler = std::move(handler);
   ++live_;
   const EventId id = make_id(slot.generation, index);
   queue_.push(Event{at_ms, next_seq_++, id});
   return id;
 }
 
-Simulator::Slot* Simulator::live_slot(EventId id) {
+EventId Simulator::schedule_in(double delay_ms, Handler handler) {
+  WILD5G_REQUIRE(delay_ms >= 0.0, "Simulator::schedule_in: negative delay");
+  return schedule_at(now_ms_ + delay_ms, std::move(handler));
+}
+
+bool Simulator::is_live(EventId id) const {
   const std::uint32_t index = slot_of(id);
-  if (index >= slots_.size()) return nullptr;
-  Slot& slot = slots_[index];
-  if (slot.node == nullptr || slot.generation != generation_of(id)) {
-    return nullptr;
-  }
-  return &slot;
+  return index < slots_.size() && slots_[index].handler &&
+         slots_[index].generation == generation_of(id);
 }
 
-void Simulator::release_node(Node* node) {
-  if (node->destroy != nullptr) node->destroy(payload_of(node));
-  arena_.recycle(node, node->bytes);
-}
-
-void Simulator::release_slot(std::uint32_t index) {
+Simulator::Handler Simulator::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.node = nullptr;
+  Handler handler = std::move(slot.handler);
+  slot.handler = nullptr;
   ++slot.generation;  // stale ids (and a wrapped 0) can never match again
   free_slots_.push_back(index);
   --live_;
+  return handler;
 }
 
 void Simulator::cancel(EventId id) {
-  Slot* slot = live_slot(id);
-  if (slot == nullptr) return;
-  release_node(slot->node);
+  if (!is_live(id)) return;
+  // The returned handler dies here, after the bookkeeping, so a capture
+  // whose destructor re-enters the simulator sees a consistent table.
   release_slot(slot_of(id));
   // The queue entry stays behind; pop_next() skips it by generation check.
 }
@@ -77,7 +71,7 @@ bool Simulator::pop_next(Event& out) {
   while (!queue_.empty()) {
     const Event top = queue_.top();
     queue_.pop();
-    if (live_slot(top.id) != nullptr) {
+    if (is_live(top.id)) {
       out = top;
       return true;
     }
@@ -87,19 +81,11 @@ bool Simulator::pop_next(Event& out) {
 }
 
 void Simulator::dispatch(const Event& event) {
-  Slot* slot = live_slot(event.id);
-  Node* node = slot->node;
   // Release before invoking: the running handler must not be cancellable
-  // (self-cancel is a no-op) and must not count as pending.
-  release_slot(slot_of(event.id));
-  // The node itself survives the call — the handler executes from arena
-  // memory — and is recycled afterwards even if it throws.
-  struct NodeGuard {
-    Simulator* simulator;
-    Node* node;
-    ~NodeGuard() { simulator->release_node(node); }
-  } guard{this, node};
-  node->invoke(payload_of(node));
+  // (self-cancel is a no-op), must not count as pending, and must run from
+  // a local, since anything it schedules may reuse its slot or grow slots_.
+  const Handler handler = release_slot(slot_of(event.id));
+  handler();
 }
 
 void Simulator::run() {

@@ -4,22 +4,15 @@
 // (inactivity timers, DRX cycles, chunk downloads). Events scheduled for the
 // same instant fire in scheduling order, so runs are fully deterministic.
 //
-// Hot-path layout: handlers are stored as type-erased nodes in a core::Arena
-// (bump chunks + size-class free lists) and looked up through a
-// generation-checked slot table, so steady-state schedule/fire/cancel churn
-// performs zero heap allocations and no hashing. A handler whose captures
-// fit the node is stored inline in arena memory; std::function only appears
-// if a caller passes one explicitly.
+// Each pending handler is a std::function held in a generation-checked slot
+// table, so cancel and dispatch are index lookups with no hashing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/error.h"
 
 namespace wild5g::sim {
@@ -31,66 +24,29 @@ using EventId = std::uint64_t;
 
 class Simulator {
  public:
-  /// Callers may still traffic in std::function; any callable works.
   using Handler = std::function<void()>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   /// Current simulated time in milliseconds.
   [[nodiscard]] double now_ms() const { return now_ms_; }
 
-  /// Schedules `handler` at absolute simulated time `at_ms` (>= now). The
-  /// callable is moved into an arena-backed node; callables convertible to
-  /// bool (function pointers, std::function) are null-checked here.
-  template <typename F,
-            typename = std::enable_if_t<std::is_invocable_v<std::decay_t<F>&>>>
-  EventId schedule_at(double at_ms, F&& handler) {
-    WILD5G_REQUIRE(at_ms >= now_ms_,
-                   "Simulator::schedule_at: time in the past");
-    using Fn = std::decay_t<F>;
-    if constexpr (std::is_constructible_v<bool, const Fn&>) {
-      WILD5G_REQUIRE(static_cast<bool>(handler),
-                     "Simulator::schedule_at: null handler");
-    }
-    Node* node = static_cast<Node*>(
-        arena_.allocate(kPayloadOffset + sizeof(Fn)));
-    node->invoke = [](void* payload) { (*static_cast<Fn*>(payload))(); };
-    if constexpr (std::is_trivially_destructible_v<Fn>) {
-      node->destroy = nullptr;
-    } else {
-      node->destroy = [](void* payload) { static_cast<Fn*>(payload)->~Fn(); };
-    }
-    node->bytes = static_cast<std::uint32_t>(kPayloadOffset + sizeof(Fn));
-    ::new (payload_of(node)) Fn(std::forward<F>(handler));
-    return enqueue(at_ms, node);
-  }
-
-  /// nullptr is not a handler; kept as an overload so the error is thrown
-  /// at schedule time rather than failing to compile in a template context.
-  EventId schedule_at(double at_ms, std::nullptr_t) {
-    WILD5G_REQUIRE(at_ms >= now_ms_,
-                   "Simulator::schedule_at: time in the past");
-    WILD5G_REQUIRE(false, "Simulator::schedule_at: null handler");
-    return 0;
-  }
+  /// Schedules `handler` at absolute simulated time `at_ms` (>= now). A null
+  /// handler is rejected.
+  EventId schedule_at(double at_ms, Handler handler);
 
   /// Schedules `handler` `delay_ms` from now (delay >= 0).
-  template <typename F>
-  EventId schedule_in(double delay_ms, F&& handler) {
-    WILD5G_REQUIRE(delay_ms >= 0.0, "Simulator::schedule_in: negative delay");
-    return schedule_at(now_ms_ + delay_ms, std::forward<F>(handler));
-  }
+  EventId schedule_in(double delay_ms, Handler handler);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown event
-  /// is a no-op (timers race with the activity that restarts them). This
-  /// extends to the dispatch path: a handler that cancels *itself* (its own
-  /// id) or another event scheduled for the same instant is also a no-op /
-  /// takes effect respectively — the running handler's slot is released
-  /// before invocation, so self-cancel finds nothing, and a same-instant
-  /// victim simply never fires.
+  /// Cancels a pending event and destroys its handler. Cancelling an
+  /// already-fired or unknown event is a no-op (timers race with the
+  /// activity that restarts them). This extends to the dispatch path: a
+  /// handler that cancels *itself* (its own id) or another event scheduled
+  /// for the same instant is also a no-op / takes effect respectively — the
+  /// running handler's slot is released before invocation, so self-cancel
+  /// finds nothing, and a same-instant victim simply never fires.
   void cancel(EventId id);
 
   /// Runs until the event queue drains.
@@ -109,33 +65,11 @@ class Simulator {
   /// Number of scheduled-but-not-yet-fired (and not cancelled) events.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
-  /// Heap bytes retained by the event arena; event churn must reach a
-  /// steady state here (asserted by tests), never grow per event.
-  [[nodiscard]] std::size_t arena_bytes_reserved() const {
-    return arena_.bytes_reserved();
-  }
-
  private:
-  /// Type-erased handler node living in the arena; the callable's bytes
-  /// start at kPayloadOffset so any fundamental alignment works.
-  struct Node {
-    void (*invoke)(void* payload);
-    void (*destroy)(void* payload);  // nullptr when trivially destructible
-    std::uint32_t bytes;             // whole block size, for recycle()
-  };
-  static constexpr std::size_t kPayloadOffset = 32;
-  static_assert(sizeof(Node) <= kPayloadOffset);
-  static_assert(kPayloadOffset % Arena::kQuantum == 0,
-                "payload must keep the arena's alignment");
-
-  static void* payload_of(Node* node) {
-    return reinterpret_cast<unsigned char*>(node) + kPayloadOffset;
-  }
-
-  /// Handler registry slot; a slot is live while `node` is set, and its
+  /// Handler registry slot; a slot is live while `handler` is set, and its
   /// generation advances on every release so stale EventIds miss.
   struct Slot {
-    Node* node = nullptr;
+    Handler handler;
     std::uint32_t generation = 1;
   };
 
@@ -151,17 +85,16 @@ class Simulator {
     }
   };
 
-  EventId enqueue(double at_ms, Node* node);
-  /// The slot for a live id, or nullptr (fired/cancelled/unknown).
-  [[nodiscard]] Slot* live_slot(EventId id);
-  /// Destroys the payload and recycles the node's arena block.
-  void release_node(Node* node);
-  /// Frees the slot for reuse and bumps its generation.
-  void release_slot(std::uint32_t index);
+  /// Whether `id` names a pending event (not fired, cancelled or unknown).
+  [[nodiscard]] bool is_live(EventId id) const;
+  /// Frees the slot for reuse, bumps its generation, and hands back its
+  /// handler, so the caller decides when the captures die.
+  Handler release_slot(std::uint32_t index);
   /// Pops the next live event; returns false when the queue is empty.
   bool pop_next(Event& out);
-  /// Fires `event`: releases the slot (self-cancel is a no-op), invokes the
-  /// handler in place, then recycles the node even on unwind.
+  /// Fires `event`: moves the handler out and releases the slot before
+  /// invoking it, so self-cancel is a no-op and a handler that schedules
+  /// (and so grows `slots_`) never runs from storage that can move.
   void dispatch(const Event& event);
 
   double now_ms_ = 0.0;
@@ -170,7 +103,6 @@ class Simulator {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  Arena arena_;
 };
 
 }  // namespace wild5g::sim

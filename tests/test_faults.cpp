@@ -7,7 +7,6 @@
 #include "core/error.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
-#include "sim/simulator.h"
 
 namespace {
 
@@ -187,6 +186,53 @@ TEST(Injector, StochasticDecisionsAreDeterministicAndSeedSensitive) {
   EXPECT_GT(salt_differs, 0);
 }
 
+TEST(Injector, ServerQueriesFollowUnreachableAndStallWindows) {
+  const Injector injector(
+      plan_of({{FaultKind::kServerUnreachable, 2.0, 3.0, 0.0},
+               {FaultKind::kServerStall, 10.0, 4.0, 0.5}}),
+      1);
+  EXPECT_FALSE(injector.server_unreachable_at(1.999));
+  EXPECT_TRUE(injector.server_unreachable_at(2.0));
+  EXPECT_TRUE(injector.server_unreachable_at(4.999));
+  EXPECT_FALSE(injector.server_unreachable_at(5.0));
+  EXPECT_FALSE(injector.server_unreachable_at(12.0))
+      << "a stalled server still accepts connections";
+  // [8, 16) overlaps the stall for 4 s at magnitude 0.5: 2 s of 8 lost.
+  EXPECT_DOUBLE_EQ(injector.server_stall_fraction(8.0, 16.0), 0.25);
+  EXPECT_DOUBLE_EQ(injector.server_stall_fraction(10.0, 14.0), 0.5);
+  EXPECT_DOUBLE_EQ(injector.server_stall_fraction(0.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(injector.server_stall_fraction(12.0, 12.0), 0.0);
+}
+
+TEST(Injector, LossBurstRateFollowsItsWindows) {
+  const Injector injector(
+      plan_of({{FaultKind::kLossBurst, 1.0, 2.0, 0.1},
+               {FaultKind::kLossBurst, 8.0, 2.0, 0.4},
+               {FaultKind::kLatencySpike, 0.0, 20.0, 30.0}}),
+      1);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(1.0), 0.1);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(2.999), 0.1);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(3.0), 0.0);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(9.0), 0.4);
+  EXPECT_DOUBLE_EQ(injector.extra_loss_events_per_s_at(15.0), 0.0)
+      << "a latency spike adds no loss";
+}
+
+TEST(Injector, NrFallbackFollowsItsWindows) {
+  const Injector injector(
+      plan_of({{FaultKind::kNrToLteOutage, 5.0, 10.0, 0.2},
+               {FaultKind::kRadioOutage, 20.0, 5.0, 0.0}}),
+      1);
+  EXPECT_FALSE(injector.nr_fallback_at(4.999));
+  EXPECT_TRUE(injector.nr_fallback_at(5.0));
+  EXPECT_TRUE(injector.nr_fallback_at(14.999));
+  EXPECT_FALSE(injector.nr_fallback_at(15.0));
+  EXPECT_FALSE(injector.nr_fallback_at(22.0))
+      << "a dead zone is an outage, not a fallback to LTE";
+  EXPECT_TRUE(injector.radio_outage_at(22.0));
+}
+
 TEST(Injector, CorruptRecordRespectsIndexWindows) {
   const Injector injector(
       plan_of({{FaultKind::kTraceCorrupt, 100.0, 50.0, 1.0}}), 7);
@@ -205,40 +251,6 @@ TEST(Injector, RejectsInvalidPlanAtConstruction) {
   EXPECT_THROW(Injector(plan_of({{FaultKind::kRadioOutage, 0.0, -1.0, 0.0}}),
                         1),
                Error);
-}
-
-TEST(Injector, ArmSchedulesEdgesOnSimulator) {
-  const Injector injector(
-      plan_of({{FaultKind::kServerStall, 2.0, 3.0, 0.5}}), 1);
-  wild5g::sim::Simulator sim;
-  std::vector<std::pair<double, bool>> edges;
-  injector.arm(sim, [&](const FaultWindow& w, bool is_start) {
-    EXPECT_EQ(w.kind, FaultKind::kServerStall);
-    edges.emplace_back(sim.now_ms(), is_start);
-  });
-  sim.run();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_DOUBLE_EQ(edges[0].first, 2000.0);
-  EXPECT_TRUE(edges[0].second);
-  EXPECT_DOUBLE_EQ(edges[1].first, 5000.0);
-  EXPECT_FALSE(edges[1].second);
-}
-
-TEST(Injector, ArmSkipsWindowsAlreadyInProgress) {
-  const Injector injector(
-      plan_of({{FaultKind::kServerStall, 1.0, 10.0, 0.5},
-               {FaultKind::kLossBurst, 8.0, 2.0, 0.1}}),
-      1);
-  wild5g::sim::Simulator sim;
-  sim.schedule_at(5000.0, [] {});
-  sim.run();  // now at t = 5 s: the stall window already started
-  int edges = 0;
-  injector.arm(sim, [&](const FaultWindow& w, bool) {
-    EXPECT_EQ(w.kind, FaultKind::kLossBurst);
-    ++edges;
-  });
-  sim.run();
-  EXPECT_EQ(edges, 2);
 }
 
 }  // namespace

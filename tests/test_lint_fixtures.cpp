@@ -155,10 +155,6 @@ TEST(lint, fixture_bad_global_state) {
   expect_only_rule("src/core/bad_global_state.cpp", "global-mutable-state");
 }
 
-TEST(lint, fixture_bad_arena_escape) {
-  expect_only_rule("src/sim/bad_arena_escape.cpp", "arena-escape");
-}
-
 TEST(lint, fixture_engine_blocking_call) {
   // Virtual path maps tests/lint_fixtures/src/engine/... to src/engine/...,
   // so blocking filesystem/sleep calls trip the compute-thread purity rule.
@@ -286,7 +282,7 @@ TEST(lint, every_bad_fixture_has_a_test) {
       "src/core/bad_layering.cpp", "src/sim/bad_include_cycle.h",
       "bad_line_splice.cpp",      "bench/bad_sample_hoard.cpp",
       "bench/bad_figure_unordered_iteration.cpp",
-      "src/core/bad_global_state.cpp", "src/sim/bad_arena_escape.cpp",
+      "src/core/bad_global_state.cpp",
       "src/engine/bad_engine_blocking.cpp", "src/engine/snapshot.cpp",
       "good_allow.cpp",           "good_clean.cpp",
       "good_tokenizer_edges.cpp", "src/core/good_global_state.cpp",
@@ -389,7 +385,7 @@ TEST(lint, list_rules_covers_registry) {
         "unordered-iteration", "float-equality", "printf-float",
         "catch-swallow", "bench-sample-hoard", "engine-blocking-call",
         "parallel-rng-capture", "parallel-rng-stream",
-        "global-mutable-state", "arena-escape", "layering",
+        "global-mutable-state", "layering",
         "include-cycle", "checkpoint-restore-symmetry"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos) << rule;
   }
@@ -403,7 +399,7 @@ TEST(lint, list_rules_json_is_machine_readable) {
   const json::Value doc = json::parse(run.output);
   const json::Value* rules = doc.find("rules");
   ASSERT_NE(rules, nullptr);
-  EXPECT_EQ(rules->size(), 19u) << "rule added or retired without updating "
+  EXPECT_EQ(rules->size(), 18u) << "rule added or retired without updating "
                                   "this count";
   const json::Value* count = doc.find("count");
   ASSERT_NE(count, nullptr);
@@ -428,15 +424,17 @@ TEST(lint, list_rules_json_is_machine_readable) {
 /// Ids of rules the linter no longer defines (DESIGN.md §8): the static
 /// concurrency rules, whose bug class the TSan and soak gates cover at
 /// runtime; the interprocedural parallel-effect rules, covered by the
-/// per-bench thread-count byte-identity tests and the TSan lane; and the
-/// unit-suffix rules, which no gate replaces.
+/// per-bench thread-count byte-identity tests and the TSan lane; the
+/// unit-suffix rules, which no gate replaces; and arena-escape, whose
+/// arena is gone.
 const char* const kRetiredRules[] = {
     "guarded-by-violation",    "lock-order-cycle",
     "cv-wait-no-predicate",    "lock-held-blocking-call",
     "signal-unsafe-call",      "parallel-effect-write",
     "parallel-effect-rng",     "parallel-effect-alias",
     "parallel-effect-unknown", "unit-mismatch-assign",
-    "unit-mismatch-call",      "unit-double-conversion"};
+    "unit-mismatch-call",      "unit-double-conversion",
+    "arena-escape"};
 
 std::set<std::string> registry_ids() {
   const LintRun run = run_lint("--list-rules --json");
@@ -588,6 +586,10 @@ TEST(lint, allow_of_retired_unit_mismatch_call_is_unknown) {
 
 TEST(lint, allow_of_retired_unit_double_conversion_is_unknown) {
   expect_retired_allow_is_unknown(kRetiredRules[11]);
+}
+
+TEST(lint, allow_of_retired_arena_escape_is_unknown) {
+  expect_retired_allow_is_unknown(kRetiredRules[12]);
 }
 
 TEST(lint, baseline_suppresses_known_findings) {

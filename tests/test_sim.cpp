@@ -5,6 +5,7 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -303,54 +304,6 @@ TEST(Simulator, TimerRestartPattern) {
   EXPECT_DOUBLE_EQ(expired_at, 22.0);
 }
 
-TEST(Simulator, ArenaReachesSteadyStateUnderEventChurn) {
-  // The hot-path contract: after warmup, schedule/fire/cancel churn reuses
-  // recycled arena blocks and never grows the reservation.
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 200; ++i) {
-    sim.schedule_in(static_cast<double>(i % 13), [&fired] { ++fired; });
-  }
-  sim.run();
-  const std::size_t reserved = sim.arena_bytes_reserved();
-  EXPECT_GT(reserved, 0u);
-  for (int round = 0; round < 200; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      sim.schedule_in(static_cast<double>(i % 13), [&fired] { ++fired; });
-    }
-    sim.run();
-    ASSERT_EQ(sim.arena_bytes_reserved(), reserved) << "round " << round;
-  }
-  EXPECT_EQ(fired, 200 * 201);
-}
-
-TEST(Simulator, ArenaSteadyStateAcrossRunUntilAndCancel) {
-  // Interleave run_until windows with cancellations (the fault-injector
-  // arm()/disarm() pattern): cancelled handlers recycle their blocks too.
-  Simulator sim;
-  int fired = 0;
-  // Warmup round establishes the working-set reservation.
-  std::size_t reserved = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<wild5g::sim::EventId> victims;
-    for (int i = 0; i < 64; ++i) {
-      const auto id = sim.schedule_in(static_cast<double>(1 + i % 7),
-                                      [&fired] { ++fired; });
-      if (i % 2 == 0) victims.push_back(id);
-    }
-    for (const auto id : victims) sim.cancel(id);
-    sim.run_until(sim.now_ms() + 10.0);
-    if (round == 0) {
-      reserved = sim.arena_bytes_reserved();
-      EXPECT_GT(reserved, 0u);
-    } else {
-      ASSERT_EQ(sim.arena_bytes_reserved(), reserved) << "round " << round;
-    }
-  }
-  EXPECT_EQ(sim.pending_count(), 0u);
-  EXPECT_EQ(fired, 50 * 32);
-}
-
 TEST(Simulator, CancelledHandlerCaptureIsDestroyed) {
   // Non-trivially-destructible captures must be destroyed on cancel and on
   // simulator teardown, not just on dispatch (ASan would flag the leak).
@@ -368,17 +321,153 @@ TEST(Simulator, CancelledHandlerCaptureIsDestroyed) {
   EXPECT_EQ(token.use_count(), 1) << "teardown must destroy live captures";
 }
 
-TEST(Simulator, OversizedCapturesStillFire) {
-  // Captures larger than the arena's small-block classes take the
-  // dedicated-chunk path; semantics must not change.
+TEST(Simulator, FiredHandlerCaptureIsDestroyedOnDispatch) {
+  // A freed slot must not keep a fired handler's captures alive until the
+  // slot is next reused.
+  auto token = std::make_shared<int>(7);
   Simulator sim;
-  std::array<double, 400> payload{};  // > kMaxSmallBytes when captured
+  long seen_inside = 0;
+  sim.schedule_at(1.0, [token, &seen_inside] {
+    seen_inside = token.use_count();
+  });
+  sim.run();
+  EXPECT_EQ(seen_inside, 2) << "the running handler must own its capture";
+  EXPECT_EQ(token.use_count(), 1) << "dispatch must destroy the capture";
+}
+
+TEST(Simulator, LiveCapturesTrackPendingAcrossRunUntilAndCancel) {
+  // Every capture the simulator holds belongs to a pending event: dispatch,
+  // cancel and slot reuse leave nothing behind, window after window.
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  std::vector<wild5g::sim::EventId> ids;
+  int fired = 0;
+  for (int window = 0; window < 20; ++window) {
+    const double start = sim.now_ms();
+    const std::size_t first = ids.size();
+    for (int i = 0; i < 50; ++i) {
+      ids.push_back(sim.schedule_at(start + 1.0 + i % 10,
+                                    [token, &fired] { ++fired; }));
+    }
+    for (std::size_t i = first; i < ids.size(); i += 3) sim.cancel(ids[i]);
+    sim.run_until(start + 5.0);
+    EXPECT_EQ(static_cast<std::size_t>(token.use_count() - 1),
+              sim.pending_count())
+        << "window " << window;
+  }
+  sim.run();
+  EXPECT_EQ(fired, 20 * (50 - 17));
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, StaleIdCannotCancelEventThatReusedItsSlot) {
+  // Each event below reuses the slot its predecessor freed; the generation
+  // in the id keeps the old handles from reaching the new occupant.
+  Simulator sim;
+  const auto fired_id = sim.schedule_at(1.0, [] {});
+  sim.run();
+  const auto cancelled_id = sim.schedule_at(2.0, [] {});
+  sim.cancel(cancelled_id);
+  bool fresh_fired = false;
+  sim.schedule_at(3.0, [&] { fresh_fired = true; });
+  sim.cancel(fired_id);
+  sim.cancel(cancelled_id);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  sim.run();
+  EXPECT_TRUE(fresh_fired);
+}
+
+TEST(Simulator, ThrowingHandlerLeavesTheSimulatorConsistent) {
+  // The slot is released before the handler runs, so an exception escaping
+  // run() leaves no half-fired event: the thrower is gone with its capture,
+  // and a second run() fires the rest in order.
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(2.0, [token] {
+    (void)*token;
+    throw wild5g::Error("handler failed");
+  });
+  sim.schedule_at(3.0, [&] { order.push_back(3); });
+  EXPECT_THROW(sim.run(), wild5g::Error);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now_ms(), 2.0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(Simulator, CaptureDestructorRunsAfterItsSlotIsReleased) {
+  // cancel and dispatch destroy a handler only once its slot is free, so a
+  // capture whose destructor re-enters the simulator already sees its event
+  // gone from the pending count.
+  struct Probe {
+    Simulator* sim;  // null once moved from
+    std::vector<std::size_t>* seen;
+    Probe(Simulator* s, std::vector<std::size_t>* v) : sim(s), seen(v) {}
+    Probe(const Probe&) = default;
+    Probe(Probe&& other) noexcept
+        : sim(std::exchange(other.sim, nullptr)), seen(other.seen) {}
+    Probe& operator=(const Probe&) = delete;
+    ~Probe() {
+      if (sim != nullptr) seen->push_back(sim->pending_count());
+    }
+  };
+  Simulator sim;
+  std::vector<std::size_t> seen;
+  sim.schedule_at(9.0, [] {});
+  const auto cancelled =
+      sim.schedule_at(5.0, [probe = Probe(&sim, &seen)] {});
+  sim.schedule_at(6.0, [probe = Probe(&sim, &seen)] {});
+  EXPECT_TRUE(seen.empty());
+  sim.cancel(cancelled);  // pending afterwards: the 6.0 and 9.0 events
+  sim.run_until(7.0);     // fires 6.0; pending afterwards: 9.0
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 1}));
+}
+
+TEST(Simulator, OversizedCapturesStillFire) {
+  // Large captures live on the heap behind the std::function; semantics
+  // must not change.
+  Simulator sim;
+  std::array<double, 400> payload{};
   payload[0] = 1.0;
   payload[399] = 2.0;
   double sum = 0.0;
   sim.schedule_at(1.0, [payload, &sum] { sum = payload[0] + payload[399]; });
   sim.run();
   EXPECT_DOUBLE_EQ(sum, 3.0);
+}
+
+TEST(Simulator, HandlerOutlivesSchedulingDuringItsOwnDispatch) {
+  // A running handler that schedules many events reuses its own freed slot
+  // and grows the slot table. Dispatch must run it from storage neither can
+  // touch: invoked in place, the first schedule would overwrite (and free)
+  // its heap-stored capture, and ASan reports the reads below.
+  constexpr int kScheduled = 1000;
+  Simulator sim;
+  std::array<std::uint64_t, 64> payload{};  // far past the inline buffer
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * i;
+  int fired = 0;
+  std::uint64_t sum = 0;
+  std::size_t pending_inside = 0;
+  sim.schedule_at(1.0, [payload, &sim, &fired, &sum, &pending_inside] {
+    for (int i = 0; i < kScheduled; ++i) {
+      sim.schedule_in(static_cast<double>(1 + i % 7), [&fired] { ++fired; });
+    }
+    for (const std::uint64_t value : payload) sum += value;
+    pending_inside = sim.pending_count();
+  });
+  sim.run();
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i) expected += i * i;
+  EXPECT_EQ(sum, expected);
+  EXPECT_EQ(pending_inside, static_cast<std::size_t>(kScheduled))
+      << "the running handler must not count as pending";
+  EXPECT_EQ(fired, kScheduled);
+  EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 // --- same-instant multi-actor scheduling (the metro campaign pattern: N

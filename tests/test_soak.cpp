@@ -529,4 +529,50 @@ TEST(soak, protocol_errors_do_not_take_the_service_down) {
   expect_uptime_invariant(events);
 }
 
+TEST(soak, malformed_flag_values_are_usage_errors) {
+  // Trailing junk, zero, negative and out-of-range values exit 2 while the
+  // flags are parsed, before the service emits hello or starts a thread.
+  const std::vector<std::vector<std::string>> rejected = {
+      {"--threads", "4x", "--watchdog-ms", "10s"},
+      {"--watchdog-ms", "10s"},
+      {"--threads=0"},
+      {"--threads", "-3"},
+      {"--watchdog-ms=0"},
+      {"--watchdog-ms", "-5"},
+      {"--threads", ""},
+      {"--threads", "two"},
+      {"--watchdog-ms", "99999999999999999999999"},
+      {"--watchdog-ms"}};
+  for (const auto& args : rejected) {
+    std::string shown;
+    for (const auto& arg : args) shown += " '" + arg + "'";
+    ServeClient serve(args);
+    serve.close_stdin();
+    EXPECT_TRUE(serve.read_to_eof().empty()) << shown;
+    EXPECT_EQ(serve.wait(), 2) << shown;
+  }
+}
+
+TEST(soak, equals_form_flag_values_reach_the_service) {
+  // --flag=value is parsed like --flag value: a 100 ms watchdog given as
+  // --watchdog-ms=100 reaps a stuck job, and the queue keeps draining.
+  ServeClient serve({"--threads=2", "--watchdog-ms=100"});
+  serve.send(sleeper_submit("stuck", /*steps=*/2, /*sleep_ms=*/600));
+  serve.send(sleeper_submit("next", /*steps=*/2));
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0);
+  const std::vector<json::Value> events = parse_all(lines);
+
+  EXPECT_NE(find_event(events, "watchdog", "stuck"), nullptr)
+      << "--watchdog-ms=100 did not arm the watchdog";
+  const json::Value* stuck_done = find_event(events, "done", "stuck");
+  ASSERT_NE(stuck_done, nullptr);
+  EXPECT_EQ(stuck_done->find("status")->as_string(), "cancelled");
+  const json::Value* next_done = find_event(events, "done", "next");
+  ASSERT_NE(next_done, nullptr);
+  EXPECT_EQ(next_done->find("status")->as_string(), "completed");
+  expect_uptime_invariant(events);
+}
+
 }  // namespace

@@ -27,8 +27,7 @@
 //                included from src/) and cycles are findings.
 //   hygiene      float-equality, printf-float, catch-swallow,
 //                bench-sample-hoard, engine-blocking-call,
-//                global-mutable-state, arena-escape,
-//                checkpoint-restore-symmetry.
+//                global-mutable-state, checkpoint-restore-symmetry.
 //   meta         allow-needs-justification, unknown-rule.
 //
 // Suppression: a finding is waived by a directive comment — on the same line
@@ -76,7 +75,7 @@ struct RuleInfo {
   std::string_view fixit;  // generic mechanical-fix hint; empty if contextual
 };
 
-constexpr std::array<RuleInfo, 19> kRules = {{
+constexpr std::array<RuleInfo, 18> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -135,13 +134,6 @@ constexpr std::array<RuleInfo, 19> kRules = {{
      "multi-UE scheduler refactor must drain",
      "const-qualify it, confine it with thread_local or a sync primitive "
      "(std::mutex & friends are allow-listed), or justify via allow"},
-    {"arena-escape", "hygiene",
-     "a pointer obtained from a core/arena.h allocation is stored into "
-     "storage that outlives the handler scope (member, global, long-lived "
-     "container) or returned; arena recycling makes this a latent "
-     "use-after-free",
-     "keep arena pointers handler-local; hand out EventIds or copy the "
-     "payload out instead"},
     {"checkpoint-restore-symmetry", "hygiene",
      "a state key serialized in checkpoint_state has no counterpart in the "
      "paired restore_state (or vice versa); asymmetric checkpoint I/O "
@@ -888,15 +880,12 @@ const std::set<std::string>& non_type_keywords() {
   return kWords;
 }
 
-/// Parses one parameter chunk [b, e). Declaration-shaped chunks look like
-/// `type name`, `const type& name`, `std::vector<double> name`, `type` (no
-/// name), or `...`; anything with arithmetic, strings, or numbers outside
-/// template arguments disqualifies the whole candidate. On success reports
-/// the parameter name ("" for type-only chunks, so a call like `f(x)` never
-/// yields a parameter name).
-bool decl_chunk(const std::vector<Token>& toks, std::size_t b, std::size_t e,
-                std::string* name) {
-  name->clear();
+/// Whether one parameter chunk [b, e) is declaration-shaped: `type name`,
+/// `const type& name`, `std::vector<double> name`, `type` (no name), or
+/// `...`; anything with arithmetic, strings, or numbers outside template
+/// arguments disqualifies the whole candidate.
+bool decl_chunk(const std::vector<Token>& toks, std::size_t b,
+                std::size_t e) {
   // Cut a default-argument tail; only the declaration part is shaped.
   int angle = 0;
   std::size_t stop = e;
@@ -909,16 +898,10 @@ bool decl_chunk(const std::vector<Token>& toks, std::size_t b, std::size_t e,
       break;
     }
   }
-  std::string last;
-  std::size_t count = 0;
   angle = 0;
   for (std::size_t j = b; j < stop; ++j) {
     const Token& t = toks[j];
-    ++count;
-    if (t.kind == Token::Kind::kIdent) {
-      if (angle == 0) last = t.text;
-      continue;
-    }
+    if (t.kind == Token::Kind::kIdent) continue;
     if (t.kind == Token::Kind::kNumber) {
       if (angle == 0) return false;
       continue;
@@ -951,10 +934,6 @@ bool decl_chunk(const std::vector<Token>& toks, std::size_t b, std::size_t e,
       return false;
     }
     return false;
-  }
-  if (count >= 2 && !last.empty() &&
-      non_type_keywords().count(last) == 0) {
-    *name = last;
   }
   return true;
 }
@@ -1155,15 +1134,11 @@ void check_parallel_rng(const std::vector<Token>& toks, const FileContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Shared-state scans. Two per-file checks over declarations and function
-// bodies:
-//   global-mutable-state  the inventory of shared mutable state: every
-//                         non-const namespace-scope or static-local variable
-//                         in src/ must be const, thread-confined
-//                         (thread_local / sync primitives), or justified via
-//                         allow. Whether a parallel task actually reaches it
-//                         is left to the runtime thread-count and TSan gates.
-//   arena-escape          arena-backed pointers stored past handler scope.
+// Shared-state scan. global-mutable-state is the inventory of shared mutable
+// state: every non-const namespace-scope or static-local variable in src/
+// must be const, thread-confined (thread_local / sync primitives), or
+// justified via allow. Whether a parallel task actually reaches it is left
+// to the runtime thread-count and TSan gates.
 
 /// std sync primitives whose namespace-scope instances are coordination, not
 /// observable state: a mutex cannot leak scheduling order into metrics.
@@ -1265,8 +1240,7 @@ void collect_globals(const std::vector<Token>& toks,
       bool all_decl_shaped = true;
       if (close != kNpos && close > paren + 1) {
         for (const auto& [cb, ce] : split_args(toks, paren + 1, close)) {
-          std::string pname;
-          if (cb >= ce || !decl_chunk(toks, cb, ce, &pname)) {
+          if (cb >= ce || !decl_chunk(toks, cb, ce)) {
             all_decl_shaped = false;
             break;
           }
@@ -1388,18 +1362,7 @@ void collect_globals(const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// Function definitions: body ranges and locals for arena-escape and the
-// checkpoint/restore pairing.
-
-/// Container/member operations that mutate their receiver; arena-escape
-/// uses them to spot a pointer stored into a long-lived container.
-const std::set<std::string>& mutating_methods() {
-  static const std::set<std::string> kMut = {
-      "push_back", "emplace_back", "insert", "emplace", "erase",
-      "clear",     "resize",       "assign", "pop_back", "reset",
-      "store"};
-  return kMut;
-}
+// Function definitions: body ranges for the checkpoint/restore pairing.
 
 struct FuncDef {
   std::string name;
@@ -1408,35 +1371,7 @@ struct FuncDef {
   std::size_t body_close = 0;
   int arity = 0;
   std::size_t name_tok = 0;  // token index of the name (definition order)
-  std::set<std::string> locals;  // params + body-declared names
 };
-
-/// Names declared inside a block [open, close): `Type name =|(|{|;|:` after
-/// optional cv/ref tokens. The over-approximation (type names occasionally
-/// land in the set) only ever silences checks, never fires them.
-std::set<std::string> collect_block_locals(const std::vector<Token>& toks,
-                                           std::size_t open,
-                                           std::size_t close) {
-  std::set<std::string> locals;
-  for (std::size_t k = open + 1; k + 1 < close; ++k) {
-    if (toks[k].kind != Token::Kind::kIdent ||
-        non_type_keywords().count(toks[k].text) != 0) {
-      continue;
-    }
-    std::size_t m = k + 1;
-    while (m < close && (toks[m].text == "&" || toks[m].text == "*" ||
-                         toks[m].text == "const")) {
-      ++m;
-    }
-    if (m < close && toks[m].kind == Token::Kind::kIdent && m + 1 < close &&
-        (toks[m + 1].text == "=" || toks[m + 1].text == "(" ||
-         toks[m + 1].text == "{" || toks[m + 1].text == ";" ||
-         toks[m + 1].text == ":")) {
-      locals.insert(toks[m].text);
-    }
-  }
-  return locals;
-}
 
 /// Function definitions: `name(params) [const|noexcept|...]* [-> type] {`.
 /// Declaration-shaped parameters and a plausible return-type context before
@@ -1462,17 +1397,14 @@ void collect_function_defs(const std::vector<Token>& toks,
     if (close == kNpos || close + 1 >= toks.size()) continue;
 
     FuncDef def;
-    std::set<std::string> params;
     bool shaped = true;
     if (close > i + 2) {
       for (const auto& [cb, ce] : split_args(toks, i + 2, close)) {
-        std::string pname;
-        if (cb >= ce || !decl_chunk(toks, cb, ce, &pname)) {
+        if (cb >= ce || !decl_chunk(toks, cb, ce)) {
           shaped = false;
           break;
         }
         ++def.arity;
-        if (!pname.empty()) params.insert(pname);
       }
     }
     if (!shaped) continue;
@@ -1496,8 +1428,6 @@ void collect_function_defs(const std::vector<Token>& toks,
     def.name = name;
     def.name_tok = i;
     def.line = toks[i].line;
-    def.locals = collect_block_locals(toks, def.body_open, def.body_close);
-    def.locals.insert(params.begin(), params.end());
     out.push_back(std::move(def));
   }
 }
@@ -1522,139 +1452,6 @@ void check_global_state(const FileContext& ctx, const std::string& vpath,
          "reaching it through a call chain races",
          "const-qualify it, confine it with thread_local, or justify with "
          "// wild5g-lint: allow(global-mutable-state) <why>"});
-  }
-}
-
-/// arena-escape: a pointer produced by `<arena>.allocate(...)` stored into
-/// anything that outlives the enclosing function scope — member, global, or
-/// non-local container — or returned. Arena recycling makes every such
-/// store a latent use-after-free that ASan only catches when a test happens
-/// to land on the recycled slot.
-void check_arena_escape(const std::vector<Token>& toks,
-                        const FileContext& ctx, const std::string& vpath,
-                        const std::vector<FuncDef>& funcs,
-                        const std::set<std::string>& mutable_globals,
-                        std::vector<Finding>& out) {
-  // Sanctioned owners: the arena itself and the simulator event loop, which
-  // recycles nodes in lockstep with dispatch and is audited by test_sim's
-  // lifetime tests.
-  static constexpr std::array<std::string_view, 3> kArenaOwners = {
-      "src/core/arena.h", "src/sim/simulator.h", "src/sim/simulator.cpp"};
-  for (const auto owner : kArenaOwners) {
-    if (vpath == owner) return;
-  }
-  // Receivers that look like arenas: declared `Arena x` / `core::Arena x`
-  // in this file, or any identifier mentioning "arena".
-  std::set<std::string> arena_objs;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind == Token::Kind::kIdent && toks[i].text == "Arena" &&
-        toks[i + 1].kind == Token::Kind::kIdent) {
-      arena_objs.insert(toks[i + 1].text);
-    }
-  }
-  const auto is_arena = [&](const std::string& id) {
-    return arena_objs.count(id) != 0 ||
-           id.find("arena") != std::string::npos ||
-           id.find("Arena") != std::string::npos;
-  };
-  const std::string_view fixit =
-      "keep arena-backed pointers handler-scoped; copy the payload out or "
-      "use an owned allocation for anything that outlives dispatch";
-  for (const FuncDef& def : funcs) {
-    // Pointers bound to an allocate() result in this body: walk back from
-    // the receiver, past casts, to the '=' and the name left of it.
-    std::set<std::string> tracked;
-    for (std::size_t k = def.body_open + 1; k + 1 < def.body_close; ++k) {
-      if (toks[k].kind != Token::Kind::kIdent ||
-          toks[k].text != "allocate" || !next_is(toks, k, "(") || k < 2 ||
-          (toks[k - 1].text != "." && toks[k - 1].text != "->") ||
-          toks[k - 2].kind != Token::Kind::kIdent ||
-          !is_arena(toks[k - 2].text)) {
-        continue;
-      }
-      const std::size_t floor =
-          k - 2 > def.body_open + 26 ? k - 2 - 26 : def.body_open;
-      for (std::size_t j = k - 2; j > floor;) {
-        --j;
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        if (toks[j].text == ";") break;
-        if (toks[j].text == "=") {
-          if (j > 0 && toks[j - 1].kind == Token::Kind::kIdent) {
-            tracked.insert(toks[j - 1].text);
-          }
-          break;
-        }
-      }
-    }
-    if (tracked.empty()) continue;
-    for (std::size_t k = def.body_open + 1; k + 1 < def.body_close; ++k) {
-      const Token& t = toks[k];
-      // return p;
-      if (t.kind == Token::Kind::kIdent && t.text == "return" &&
-          toks[k + 1].kind == Token::Kind::kIdent &&
-          tracked.count(toks[k + 1].text) != 0 && k + 2 < def.body_close &&
-          toks[k + 2].text == ";") {
-        out.push_back(
-            {ctx.display_path, t.line, "arena-escape",
-             "'" + toks[k + 1].text + "' points into arena storage and is "
-             "returned from '" + def.name + "'; the arena recycles the slot "
-             "and the pointer dangles",
-             std::string(fixit)});
-        continue;
-      }
-      // <lvalue> = p ;  where the lvalue's base name is not function-local.
-      if (t.kind == Token::Kind::kPunct && t.text == "=" && k >= 1 &&
-          toks[k + 1].kind == Token::Kind::kIdent &&
-          tracked.count(toks[k + 1].text) != 0 &&
-          (k + 2 >= def.body_close || toks[k + 2].text == ";") &&
-          toks[k - 1].kind == Token::Kind::kIdent) {
-        std::size_t root = k - 1;
-        while (root >= def.body_open + 3 &&
-               (toks[root - 1].text == "." || toks[root - 1].text == "->") &&
-               toks[root - 2].kind == Token::Kind::kIdent) {
-          root -= 2;
-        }
-        const std::string& base = toks[root].text;
-        if (def.locals.count(base) != 0 && base != "this") continue;
-        const bool global = mutable_globals.count(base) != 0;
-        out.push_back(
-            {ctx.display_path, t.line, "arena-escape",
-             "'" + toks[k + 1].text + "' points into arena storage and is "
-             "stored into " +
-                 (global ? "global '" + base + "'"
-                         : "'" + toks[k - 1].text +
-                               "', which outlives this handler scope") +
-                 "; the arena recycles the slot and the pointer dangles",
-             std::string(fixit)});
-        continue;
-      }
-      // container.push_back(p) etc. on a non-local receiver.
-      if (t.kind == Token::Kind::kIdent &&
-          mutating_methods().count(t.text) != 0 && next_is(toks, k, "(") &&
-          k >= 2 && (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
-          toks[k - 2].kind == Token::Kind::kIdent &&
-          def.locals.count(toks[k - 2].text) == 0) {
-        const std::size_t close =
-            find_match(toks, k + 1, "(", ")", def.body_close + 1);
-        if (close == kNpos || close <= k + 2) continue;
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].text == "&") ++b;
-          if (ae != b + 1 || toks[b].kind != Token::Kind::kIdent ||
-              tracked.count(toks[b].text) == 0) {
-            continue;
-          }
-          out.push_back(
-              {ctx.display_path, t.line, "arena-escape",
-               "'" + toks[b].text + "' points into arena storage and is "
-               "inserted into '" + toks[k - 2].text + "', which outlives "
-               "this handler scope; the arena recycles the slot and the "
-               "pointer dangles",
-               std::string(fixit)});
-          break;
-        }
-      }
-    }
   }
 }
 
@@ -2044,23 +1841,6 @@ void check_cycles(std::vector<FileUnit>& units) {
 }
 
 std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
-  // The tracked mutable-global set arena-escape names in its messages. A
-  // declaration whose global-mutable-state finding carries a justified
-  // allow() is audited, sanctioned state (e.g. the parallel.cpp pool
-  // singletons, confined by g_pool_mutex) and stays out of the set.
-  std::set<std::string> mutable_globals;
-  for (const auto& unit : units) {
-    for (const auto& g : unit.globals) {
-      Finding probe;
-      probe.file = unit.ctx.display_path;
-      probe.line = g.line;
-      probe.rule = "global-mutable-state";
-      if (!suppressed(unit.allows, unit.token_lines, probe)) {
-        mutable_globals.insert(g.name);
-      }
-    }
-  }
-
   for (auto& unit : units) {
     if (unit.io_error) continue;
     const auto& toks = unit.lexed.tokens;
@@ -2074,8 +1854,6 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
     check_unordered_iteration(toks, unit.ctx, unit.raw);
     check_parallel_rng(toks, unit.ctx, unit.rng_vars, unit.raw);
     check_global_state(unit.ctx, unit.vpath, unit.globals, unit.raw);
-    check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs,
-                       mutable_globals, unit.raw);
     check_checkpoint_symmetry(unit);
     check_layering(unit);
   }

@@ -429,12 +429,10 @@ class Service {
     engine::RunOutcome outcome;
     try {
       outcome = engine::run_steps(*job.campaign, ctx, control);
+      // to_string(kDeadline) is "deadline_partial". The service maps every
+      // interruption to a cancellation; the runner's kInterrupted never
+      // fires here (no interrupted predicate is wired).
       state = engine::to_string(outcome.status);
-      // The service maps every interruption to a cancellation; the runner's
-      // kInterrupted never fires here (no interrupted predicate is wired).
-      if (outcome.status == engine::RunStatus::kDeadline) {
-        state = "deadline_partial";
-      }
     } catch (const std::exception& e) {
       // A throwing step is a campaign bug, but one job's bug must not take
       // the service down: report it and mark the job cancelled so the
@@ -574,39 +572,49 @@ std::unique_ptr<engine::Campaign> make_sleeper(
   return std::make_unique<SleeperCampaign>(request, steps, sleep_ms);
 }
 
+/// A strictly positive integer flag value. Garbage, trailing junk ("4x",
+/// "10s"), zero, negative and out-of-range values are usage errors (exit 2).
+std::int64_t positive_flag(const std::string& flag, const std::string& text) {
+  std::size_t parsed = 0;
+  long long value = 0;
+  try {
+    value = std::stoll(text, &parsed);
+  } catch (const std::exception&) {
+    value = 0;  // not a number, or out of range: rejected below
+  }
+  if (parsed != text.size() || value <= 0) {
+    std::cerr << "wild5g_serve: " << flag
+              << " must be a positive integer, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 int serve_main(int argc, char** argv) {
   std::int64_t watchdog_ms = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto long_flag = [&](const std::string& name,
                          std::int64_t& target) -> bool {
+      std::string text;
       if (arg == name) {
         if (i + 1 >= argc) {
           std::cerr << "wild5g_serve: " << name << " requires a value\n";
           std::exit(2);
         }
-        target = std::atoll(argv[++i]);
-        return true;
+        text = argv[++i];
+      } else if (arg.rfind(name + "=", 0) == 0) {
+        text = arg.substr(name.size() + 1);
+      } else {
+        return false;
       }
-      if (arg.rfind(name + "=", 0) == 0) {
-        target = std::atoll(arg.substr(name.size() + 1).c_str());
-        return true;
-      }
-      return false;
+      target = positive_flag(name, text);
+      return true;
     };
     std::int64_t threads = 0;
-    if (long_flag("--watchdog-ms", watchdog_ms)) {
-      if (watchdog_ms <= 0) {
-        std::cerr << "wild5g_serve: --watchdog-ms must be positive\n";
-        std::exit(2);
-      }
-    } else if (long_flag("--threads", threads)) {
-      if (threads <= 0) {
-        std::cerr << "wild5g_serve: --threads must be positive\n";
-        std::exit(2);
-      }
+    if (long_flag("--threads", threads)) {
       parallel::set_thread_count(static_cast<std::size_t>(threads));
-    } else {
+    } else if (!long_flag("--watchdog-ms", watchdog_ms)) {
       std::cerr << "wild5g_serve: unknown flag '" << arg << "'\n";
       std::exit(2);
     }
