@@ -1,5 +1,6 @@
 #include "core/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -79,22 +80,37 @@ std::size_t Value::size() const {
   throw Error("json: size() on non-container");
 }
 
-std::string format_number(double value) {
+namespace {
+
+// Appends the shortest decimal that reads back as exactly `value`, in %g
+// form. std::to_chars gives the shortest round-trip digit count n: no
+// decimal with fewer significant digits reads back as `value`, so %.*g at
+// precisions 1..n-1 would fail the strtod check below and the search starts
+// at n. The check stays for the rare value whose correctly rounded n-digit
+// %g string is not the shortest round-trip one; the search then goes on to
+// n+1, exactly as a search from precision 1 would.
+void append_number(double value, std::string& out) {
   require(std::isfinite(value),
           "json: cannot serialize non-finite number (NaN or infinity)");
-  // Shortest representation that round-trips to the identical double keeps
-  // goldens human-readable and the writer deterministic.
   char buffer[40];
-  for (int precision = 1; precision <= 17; ++precision) {
+  const char* const end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* p = buffer; p != end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++precision;
+  }
+  int length = 0;
+  for (; precision <= 17; ++precision) {
     // wild5g-lint: allow(printf-float) this IS the deterministic formatter:
-    // %.*g feeds the shortest-round-trip search every other caller must use.
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    // %.*g renders the shortest round-trip digits every other caller must
+    // use; to_chars only picks the precision the search starts at.
+    length = std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
     if (std::strtod(buffer, nullptr) == value) break;
   }
-  return buffer;
+  out.append(buffer, static_cast<std::size_t>(length));
 }
-
-namespace {
 
 void escape_string(const std::string& s, std::string& out) {
   out += '"';
@@ -120,8 +136,8 @@ void escape_string(const std::string& s, std::string& out) {
 }
 
 void dump_value(const Value& value, int indent, std::string& out) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string inner_pad(static_cast<std::size_t>(indent + 1) * 2, ' ');
+  const auto pad = static_cast<std::size_t>(indent) * 2;
+  const auto inner_pad = pad + 2;
   switch (value.type()) {
     case Value::Type::kNull:
       out += "null";
@@ -130,7 +146,7 @@ void dump_value(const Value& value, int indent, std::string& out) {
       out += value.as_bool() ? "true" : "false";
       break;
     case Value::Type::kNumber:
-      out += format_number(value.as_number());
+      append_number(value.as_number(), out);
       break;
     case Value::Type::kString:
       escape_string(value.as_string(), out);
@@ -143,12 +159,12 @@ void dump_value(const Value& value, int indent, std::string& out) {
       }
       out += "[\n";
       for (std::size_t i = 0; i < elements.size(); ++i) {
-        out += inner_pad;
+        out.append(inner_pad, ' ');
         dump_value(elements[i], indent + 1, out);
         if (i + 1 < elements.size()) out += ',';
         out += '\n';
       }
-      out += pad;
+      out.append(pad, ' ');
       out += ']';
       break;
     }
@@ -160,14 +176,14 @@ void dump_value(const Value& value, int indent, std::string& out) {
       }
       out += "{\n";
       for (std::size_t i = 0; i < members.size(); ++i) {
-        out += inner_pad;
+        out.append(inner_pad, ' ');
         escape_string(members[i].key, out);
         out += ": ";
         dump_value(members[i].value, indent + 1, out);
         if (i + 1 < members.size()) out += ',';
         out += '\n';
       }
-      out += pad;
+      out.append(pad, ' ');
       out += '}';
       break;
     }
@@ -183,7 +199,7 @@ void dump_value_compact(const Value& value, std::string& out) {
       out += value.as_bool() ? "true" : "false";
       break;
     case Value::Type::kNumber:
-      out += format_number(value.as_number());
+      append_number(value.as_number(), out);
       break;
     case Value::Type::kString:
       escape_string(value.as_string(), out);
@@ -300,8 +316,17 @@ class Parser {
       }
       if (digits() == 0) fail("invalid number: missing exponent digits");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    const double value = std::strtod(token.c_str(), nullptr);
+    // The token is validated JSON, which from_chars reads in place. On
+    // underflow libstdc++ reports result_out_of_range where strtod returns
+    // 0, -0 or a subnormal, so any unclean result takes the strtod path.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last) {
+      const std::string token(first, last);
+      value = std::strtod(token.c_str(), nullptr);
+    }
     if (!std::isfinite(value)) fail("number out of range");
     return Value(value);
   }
@@ -434,6 +459,12 @@ class Parser {
 };
 
 }  // namespace
+
+std::string format_number(double value) {
+  std::string out;
+  append_number(value, out);
+  return out;
+}
 
 std::string dump(const Value& value) {
   std::string out;

@@ -86,7 +86,9 @@ struct Member {
 };
 
 /// Renders `value` as the shortest decimal string that parses back to the
-/// exact same double ("13.5", not "13.500000000000000"). Throws wild5g::Error
+/// exact same double ("13.5", not "13.500000000000000"), in printf %g form:
+/// an integral value that ends in zeros comes out in exponent form ("10" is
+/// "1e+01"), so a reader must not expect an integer token. Throws wild5g::Error
 /// for NaN or infinity — JSON has no representation for them, and silently
 /// emitting `null` would corrupt a golden baseline.
 [[nodiscard]] std::string format_number(double value);

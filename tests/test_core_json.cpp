@@ -4,11 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/error.h"
 #include "core/golden.h"
+#include "core/rng.h"
 
 namespace json = wild5g::json;
 namespace golden = wild5g::golden;
@@ -45,6 +54,60 @@ json::Value sample_document() {
   return doc;
 }
 
+// Reference formatter: the plain shortest-round-trip search over %.*g
+// precisions 1..17 that json::format_number must match byte for byte.
+std::string oracle_format(double value) {
+  char buffer[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
+  return buffer;
+}
+
+// Seeded random bit patterns (finite ones) plus uniform, integral,
+// two-decimal and x1e-7 values, the shapes goldens and snapshots carry.
+std::vector<double> random_doubles() {
+  constexpr int kPerKind = 20000;
+  wild5g::Rng rng(20261020);
+  std::vector<double> out;
+  while (out.size() < kPerKind) {
+    const double v = std::bit_cast<double>(rng.uniform_int(
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()));
+    if (std::isfinite(v)) out.push_back(v);
+  }
+  for (int i = 0; i < kPerKind; ++i) {
+    out.push_back(rng.uniform(-1e6, 1e6));
+    out.push_back(static_cast<double>(rng.uniform_int(-10000000, 10000000)));
+    out.push_back(static_cast<double>(rng.uniform_int(-1000000, 1000000)) /
+                  100.0);
+    out.push_back(rng.uniform(0.0, 1000.0) * 1e-7);
+  }
+  return out;
+}
+
+// Every power of two of either sign with both neighbours, the integers
+// around 2^53, signed zeros, the smallest subnormal, DBL_MIN and DBL_MAX.
+std::vector<double> edge_doubles() {
+  std::vector<double> out = {0.0,     -0.0,     5e-324,  -5e-324,
+                             DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX};
+  for (int exp = -1074; exp <= 1023; ++exp) {
+    for (const double sign : {1.0, -1.0}) {
+      const double p = sign * std::ldexp(1.0, exp);
+      out.push_back(p);
+      out.push_back(std::nextafter(p, 0.0));
+      out.push_back(std::nextafter(p, sign * DBL_MAX));
+    }
+  }
+  constexpr double kTwo53 = 9007199254740992.0;
+  for (int k = -1000; k <= 1000; ++k) {
+    out.push_back(kTwo53 + k);
+    out.push_back(-(kTwo53 + k));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(Json, DumpParseRoundTripIsByteIdentical) {
@@ -76,6 +139,29 @@ TEST(Json, NumberFormattingIsShortestRoundTrip) {
   EXPECT_EQ(json::parse(json::format_number(value)).as_number(), value);
 }
 
+TEST(Json, FormatterMatchesFullPrecisionSearch) {
+  for (const auto& set : {random_doubles(), edge_doubles()}) {
+    for (const double v : set) {
+      ASSERT_EQ(json::format_number(v), oracle_format(v))
+          << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    }
+  }
+}
+
+TEST(Json, IntegralValuesKeepTheirExponentForm) {
+  // %g switches to exponent form once the shortest digits drop trailing
+  // zeros; snapshots and goldens hold these bytes, and snapshot sizes are
+  // pinned, so they must not be "fixed" to plain integers.
+  const std::pair<double, const char*> cases[] = {
+      {10.0, "1e+01"},     {-20.0, "-2e+01"},   {100.0, "1e+02"},
+      {120.0, "1.2e+02"},  {290.0, "2.9e+02"},  {720000.0, "7.2e+05"},
+      {1000000.0, "1e+06"}, {7.0, "7"},         {123.0, "123"},
+  };
+  for (const auto& [value, text] : cases) {
+    EXPECT_EQ(json::format_number(value), text) << "value " << value;
+  }
+}
+
 TEST(Json, NonFiniteNumbersRejectedOnWrite) {
   EXPECT_THROW((void)json::format_number(std::nan("")), Error);
   EXPECT_THROW((void)json::format_number(1.0 / 0.0), Error);
@@ -102,27 +188,84 @@ TEST(Json, ParsesEscapesAndLiterals) {
 }
 
 TEST(Json, MalformedInputsRejectedCleanly) {
-  const char* cases[] = {
-      "",                      // empty
-      "{",                     // truncated object
-      "[1, 2",                 // truncated array
-      "\"abc",                 // unterminated string
-      "{\"a\": }",             // missing value
-      "{\"a\": 1,}",           // would need a key after comma
-      "1.5 garbage",           // trailing garbage
-      "nan",                   // not a JSON literal
-      "inf",                   // not a JSON literal
-      "-",                     // sign without digits
-      "1.",                    // missing fraction digits
-      "2e",                    // missing exponent digits
-      "1e999",                 // overflows to infinity
-      "\"bad \\x escape\"",    // invalid escape
-      "\"trunc \\u12\"",       // truncated \u escape
-      "\"\\ud800\"",           // surrogate escape
-      "\"ctrl \x01\"",         // raw control character
+  const std::pair<const char*, const char*> cases[] = {
+      // empty
+      {"", "json: unexpected end of input (at byte 0)"},
+      // truncated object
+      {"{", "json: unexpected end of input (at byte 1)"},
+      // truncated array
+      {"[1, 2", "json: unexpected end of input (at byte 5)"},
+      // unterminated string
+      {"\"abc", "json: unterminated string (at byte 4)"},
+      // missing value
+      {"{\"a\": }", "json: invalid number (at byte 6)"},
+      // would need a key after comma
+      {"{\"a\": 1,}", "json: expected '\"' (at byte 8)"},
+      // trailing garbage
+      {"1.5 garbage", "json: trailing garbage after document (at byte 4)"},
+      // not JSON literals
+      {"nan", "json: invalid literal (at byte 0)"},
+      {"inf", "json: invalid number (at byte 0)"},
+      // sign without digits
+      {"-", "json: invalid number (at byte 1)"},
+      {"1.", "json: invalid number: missing fraction digits (at byte 2)"},
+      {"2e", "json: invalid number: missing exponent digits (at byte 2)"},
+      // overflows to infinity
+      {"1e999", "json: number out of range (at byte 5)"},
+      {"1e400", "json: number out of range (at byte 5)"},
+      {"-1e400", "json: number out of range (at byte 6)"},
+      {"1.7976931348623159e308", "json: number out of range (at byte 22)"},
+      {"\"bad \\x escape\"", "json: invalid escape character (at byte 7)"},
+      {"\"trunc \\u12\"", "json: truncated \\u escape (at byte 9)"},
+      {"\"\\ud800\"",
+       "json: surrogate \\u escapes are not supported (at byte 7)"},
+      {"\"ctrl \x01\"",
+       "json: unescaped control character in string (at byte 7)"},
   };
-  for (const char* text : cases) {
-    EXPECT_THROW((void)json::parse(text), Error) << "input: " << text;
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)json::parse(text);
+      ADD_FAILURE() << "accepted input: " << text;
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), message) << "input: " << text;
+    }
+  }
+}
+
+TEST(Json, NumbersParseLikeStrtodAtTheRangeEdges) {
+  // Underflow reads as a signed zero or a subnormal, as strtod gives it.
+  const double pos_zero = json::parse("1e-400").as_number();
+  EXPECT_EQ(pos_zero, 0.0);
+  EXPECT_FALSE(std::signbit(pos_zero));
+  const double neg_zero = json::parse("-1e-400").as_number();
+  EXPECT_EQ(neg_zero, 0.0);
+  EXPECT_TRUE(std::signbit(neg_zero));
+  const double smallest = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(json::parse("4.9e-324").as_number(), smallest);
+  EXPECT_EQ(json::parse("2.4703282292062328e-324").as_number(), smallest);
+  EXPECT_EQ(json::parse("2.4703282292062327e-324").as_number(), 0.0);
+  EXPECT_EQ(json::parse("1.7976931348623158e308").as_number(), DBL_MAX);
+  EXPECT_EQ(json::parse("-0").as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(json::parse("-0").as_number()));
+}
+
+TEST(Json, NumberDumpParseDumpIsByteIdentical) {
+  json::Value doc = json::Value::array();
+  const std::vector<double> values = random_doubles();
+  for (const double v : values) doc.push_back(v);
+  for (const double v : edge_doubles()) doc.push_back(v);
+  using Writer = std::string (*)(const json::Value&);
+  for (const Writer write :
+       {Writer{&json::dump}, Writer{&json::dump_compact}}) {
+    const std::string once = write(doc);
+    const json::Value back = json::parse(once);
+    ASSERT_EQ(write(back), once);
+    const auto& numbers = back.as_array();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(numbers[i].as_number()),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << "element " << i;
+    }
   }
 }
 
